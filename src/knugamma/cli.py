@@ -3,17 +3,20 @@ bound reports, and sign-map file generation.
 
 Exit codes: 0 success, 1 check-suite failure, 2 domain or
 configuration error (the typed error name goes to stderr).  All
-commands are deterministic for fixed flags; sign maps may fan out
-across threads (capped by KNU_THREADS, 0 = auto) with byte-identical
-output regardless of thread count.
+commands are deterministic for fixed flags.  Sign maps are computed in
+the calling process and their files written by a pool of forked worker
+processes, one y per job (KNU_THREADS caps the number of processes,
+0 = auto); output is byte-identical whatever the process count.  A
+single y, a platform without the fork start method, or a caller with
+other threads running, runs serially in-process.
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
-from typing import List, Optional
+import time
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import checks
 from .beta import beta_knu, log_beta_knu
@@ -25,6 +28,8 @@ from .params import Params
 from .psi import polygamma_knu, psi_knu
 from .signmap import (
     PAPER_Y_VALUES,
+    GridSpec,
+    SignMap,
     desk_grid,
     grid_signmap,
     iter_signmap_csv,
@@ -208,6 +213,83 @@ def _worker_count(n_jobs: int, memory_heavy: bool = False) -> int:
     return max(1, min(cap, n_jobs))
 
 
+def _timed(chunks: Iterable[str], stage: str, seconds: Dict[str, float]) -> Iterator[str]:
+    """Pass ``chunks`` through, adding the thread-CPU time spent
+    producing them to ``seconds[stage]``."""
+    it = iter(chunks)
+    while True:
+        t0 = time.thread_time()
+        chunk = next(it, None)
+        seconds[stage] += time.thread_time() - t0
+        if chunk is None:
+            return
+        yield chunk
+
+
+def _write_map(sm: SignMap, csv_path: str, pgm_path: str) -> Tuple[List[str], dict]:
+    """Write one y's CSV and PGM; runs in a pool worker or inline.
+    Returns the two paths and the job's stats: thread-CPU seconds of
+    CSV formatting, PGM formatting and the rest of the writing, the
+    cell count and the file sizes."""
+    seconds = {"csv_s": 0.0, "pgm_s": 0.0}
+    t0 = time.thread_time()
+    csv_bytes = write_atomic(csv_path, _timed(iter_signmap_csv(sm), "csv_s", seconds))
+    pgm_bytes = write_atomic(pgm_path, _timed(iter_signmap_pgm(sm), "pgm_s", seconds))
+    seconds["write_s"] = time.thread_time() - t0 - seconds["csv_s"] - seconds["pgm_s"]
+    stats = dict(seconds, cells=int(sm.values.size), csv_bytes=csv_bytes, pgm_bytes=pgm_bytes)
+    return [csv_path, pgm_path], stats
+
+
+def _write_maps(spec: GridSpec, jobs: List[Tuple[float, str, str]], workers: int) -> List[tuple]:
+    """(paths, stats) for each (y, csv_path, pgm_path) job, in job
+    order.  Maps are computed here; with more than one worker, the fork
+    start method available and no other thread running, their files are
+    written by a process pool, with at most ``workers`` maps in flight
+    so memory does not grow with the number of jobs."""
+
+    def compute(y: float):
+        t0 = time.thread_time()
+        sm = grid_signmap(spec, y)
+        return sm, {"y": y, "compute_s": time.thread_time() - t0}
+
+    results = []
+    if workers > 1:
+        import multiprocessing
+        import threading
+
+        # fork copies only the calling thread: a lock held by another
+        # thread would stay locked in the workers
+        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+            workers = 1
+    if workers == 1:
+        for y, csv_path, pgm_path in jobs:
+            sm, stats = compute(y)
+            paths, job_stats = _write_map(sm, csv_path, pgm_path)
+            results.append((paths, dict(stats, **job_stats)))
+        return results
+
+    import collections
+    import concurrent.futures
+
+    def collect(pending):
+        future, stats = pending.popleft()
+        paths, job_stats = future.result()
+        results.append((paths, dict(stats, **job_stats)))
+
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+        pending = collections.deque()
+        for y, csv_path, pgm_path in jobs:
+            if len(pending) == workers:
+                collect(pending)
+            sm, stats = compute(y)
+            pending.append((pool.submit(_write_map, sm, csv_path, pgm_path), stats))
+            del sm  # the pool holds it until its job is done
+        while pending:
+            collect(pending)
+    return results
+
+
 def _cmd_signmap(args: argparse.Namespace) -> int:
     if "{y}" not in args.out_csv or "{y}" not in args.out_pgm:
         sys.stderr.write("--out-csv and --out-pgm must contain the placeholder {y}\n")
@@ -225,30 +307,21 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
         y_values = PAPER_Y_VALUES
     mode = "paper" if args.paper_grid else args.mode
     spec = paper_grid(y_values) if mode == "paper" else desk_grid(y_values)
-
-    def one(y: float) -> List[str]:
-        sm = grid_signmap(spec, y)
-        csv_path = args.out_csv.replace("{y}", _fmt_y(y))
-        pgm_path = args.out_pgm.replace("{y}", _fmt_y(y))
-        write_atomic(csv_path, iter_signmap_csv(sm))
-        write_atomic(pgm_path, iter_signmap_pgm(sm))
-        return [csv_path, pgm_path]
-
-    written: List[str] = []
+    jobs = [
+        (y, args.out_csv.replace("{y}", _fmt_y(y)), args.out_pgm.replace("{y}", _fmt_y(y)))
+        for y in y_values
+    ]
+    workers = _worker_count(len(jobs), memory_heavy=(mode == "paper"))
     try:
-        workers = _worker_count(len(y_values), memory_heavy=(mode == "paper"))
-        if workers == 1:
-            for y in y_values:
-                written.extend(one(y))
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                for paths in pool.map(one, y_values):
-                    written.extend(paths)
+        results = _write_maps(spec, jobs, workers)
     except OSError as exc:
         sys.stderr.write(f"cannot write output: {exc}\n")
         return 2
-    for path in written:
-        print(path)
+    for paths, stats in results:
+        if args.stats:
+            sys.stderr.write(json.dumps(stats, sort_keys=True, separators=(",", ":")) + "\n")
+        for path in paths:
+            print(path)
     return 0
 
 
@@ -302,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--y", help="comma list of y values (default: the reference 16)")
     ps.add_argument("--out-csv", required=True, help="CSV path template containing {y}")
     ps.add_argument("--out-pgm", required=True, help="PGM path template containing {y}")
+    ps.add_argument("--stats", action="store_true",
+                    help="write one JSON object per y to stderr: CPU seconds per stage, "
+                         "cell count, file sizes")
     ps.set_defaults(func=_cmd_signmap)
     return parser
 

@@ -11,6 +11,7 @@ each grid cell.  Everything is evaluated in log space: the direct
 A and B overflow for axis values in the hundreds, the logs never do.
 """
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -115,9 +116,12 @@ def _ternary(ln_a, ln_b):
 
 def sign_F(a: float, b: float, y: float) -> int:
     """Ternary comparison of the two upper bounds at one cell."""
-    if not (a > 0.0 and b > 0.0 and y > 0.0):
-        raise ValueError(f"sign_F requires a, b, y > 0, got ({a}, {b}, {y})")
-    ln_a, ln_b = log_bound_terms(a, b, y)
+    if not all(v > 0.0 and math.isfinite(v) for v in (a, b, y)):
+        raise ValueError(f"sign_F requires finite a, b, y > 0, got ({a}, {b}, {y})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ln_a, ln_b = log_bound_terms(a, b, y)
+    if not (np.isfinite(ln_a) and np.isfinite(ln_b)):
+        raise ValueError(f"sign_F log terms overflow at ({a}, {b}, {y})")
     return int(_ternary(np.atleast_1d(ln_a), np.atleast_1d(ln_b))[0])
 
 
@@ -150,29 +154,25 @@ def grid_signmap(spec: GridSpec, y: float) -> SignMap:
 # serialization: bit-exact text formats, no image library
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def iter_signmap_csv(sm: SignMap) -> Iterator[str]:
     """CSV chunks: header a,b,y,lnA,lnB,F, one row per cell, b
     descending then a ascending (same order as the matrix).  Yields one
-    chunk per matrix row so paper-scale maps stream in bounded memory."""
-    a_row = np.asarray(sm.grid.a_points, dtype=np.float64)
-    b_col = np.asarray(sm.grid.b_points, dtype=np.float64)[::-1]
-    a_txt = [_fmt(a) for a in a_row]
-    y_txt = _fmt(sm.y)
+    chunk per matrix row so paper-scale maps stream in bounded memory.
+    Floats are written with ``repr``; the a column, the per-row
+    ``b,y`` text and the F text are formatted once, not per cell."""
+    a_txt = [repr(a) for a in np.asarray(sm.grid.a_points, dtype=np.float64).tolist()]
+    b_col = np.asarray(sm.grid.b_points, dtype=np.float64)[::-1].tolist()
+    y_txt = repr(float(sm.y))
+    f_txt = (",-1\n", ",0\n", ",1\n")
     yield "a,b,y,lnA,lnB,F\n"
-    for i, b in enumerate(b_col):
-        b_txt = _fmt(b)
-        row_a = sm.ln_a[i]
-        row_b = sm.ln_b[i]
-        row_f = sm.values[i]
-        lines = [
-            f"{a_txt[j]},{b_txt},{y_txt},{_fmt(row_a[j])},{_fmt(row_b[j])},{int(row_f[j])}"
-            for j in range(len(a_row))
-        ]
-        yield "\n".join(lines) + "\n"
+    for b, row_a, row_b, row_f in zip(b_col, sm.ln_a, sm.ln_b, sm.values + 1):
+        mid = f",{b!r},{y_txt},"
+        yield "".join(
+            [
+                "%s%s%r,%r%s" % (a, mid, la, lb, f_txt[f])
+                for a, la, lb, f in zip(a_txt, row_a.tolist(), row_b.tolist(), row_f.tolist())
+            ]
+        )
 
 
 def signmap_csv_text(sm: SignMap) -> str:
@@ -180,6 +180,20 @@ def signmap_csv_text(sm: SignMap) -> str:
 
 
 _PGM_TOKENS_PER_LINE = 35  # 35 single-digit tokens = 69 chars <= the plain-format 70 cap
+_PGM_LINES_PER_CHUNK = 2000
+_PGM_DIGITS = np.frombuffer(b"012", dtype=np.uint8)
+
+
+def _pgm_lines(digits: np.ndarray) -> str:
+    """Single-digit tokens, ``_PGM_TOKENS_PER_LINE`` per line: each
+    token is followed by a space, or by a newline at the end of a line
+    and after the last token."""
+    step = 2 * _PGM_TOKENS_PER_LINE
+    out = np.full(2 * len(digits), ord(" "), dtype=np.uint8)
+    out[0::2] = digits
+    out[step - 1 :: step] = ord("\n")
+    out[-1] = ord("\n")
+    return out.tobytes().decode("ascii")
 
 
 def iter_signmap_pgm(sm: SignMap) -> Iterator[str]:
@@ -188,31 +202,39 @@ def iter_signmap_pgm(sm: SignMap) -> Iterator[str]:
     ties."""
     h, w = sm.values.shape
     yield f"P2\n{w} {h}\n2\n"
-    tokens = np.array(("0", "1", "2"))[(sm.values + 1).ravel()]
-    step = _PGM_TOKENS_PER_LINE
-    for start in range(0, len(tokens), step * 2000):
-        block = tokens[start : start + step * 2000]
-        lines = [" ".join(block[i : i + step]) for i in range(0, len(block), step)]
-        yield "\n".join(lines) + "\n"
+    digits = _PGM_DIGITS[(sm.values + 1).ravel()]
+    block = _PGM_TOKENS_PER_LINE * _PGM_LINES_PER_CHUNK
+    for start in range(0, len(digits), block):
+        yield _pgm_lines(digits[start : start + block])
 
 
 def signmap_pgm_text(sm: SignMap) -> str:
     return "".join(iter_signmap_pgm(sm))
 
 
-def write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write via a temp file in the destination directory + rename."""
+def _umask() -> int:
+    # the umask can only be read by setting it
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def write_atomic(path: str, chunks: Iterable[str]) -> int:
+    """Write via a temp file in the destination directory + rename; the
+    file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not mkstemp's 0o600.  Returns the number of characters
+    written (bytes, for the ASCII sign-map formats)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
+            os.fchmod(fd, 0o666 & ~_umask())
             if isinstance(chunks, str):
-                fh.write(chunks)
-            else:
-                for chunk in chunks:
-                    fh.write(chunk)
+                chunks = (chunks,)
+            written = sum(fh.write(chunk) for chunk in chunks)
         os.replace(tmp, path)
+        return written
     except BaseException:
         try:
             os.unlink(tmp)

@@ -4,9 +4,12 @@ generation and determinism."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import knugamma
 from knugamma.cli import main
 
 
@@ -178,9 +181,44 @@ class TestSignmapCommand:
         )
         assert code == 2
 
+    def test_pool_write_error_exit_2(self, tmp_path):
+        # several y jobs on a two-process pool; one job's target is a
+        # directory, so its worker raises OSError after writing the
+        # temp file
+        (tmp_path / "m_1.csv").mkdir()
+        env = dict(os.environ, KNU_THREADS="2",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(knugamma.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "knugamma.cli", "signmap", "--mode", "desk",
+             "--y", "0.1,1,20,5", "--out-csv", str(tmp_path / "m_{y}.csv"),
+             "--out-pgm", str(tmp_path / "m_{y}.pgm")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "cannot write output" in proc.stderr
+        assert proc.stdout == ""
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_stats_one_object_per_y(self, capsys, tmp_path):
+        argv = ["signmap", "--mode", "desk", "--y", "0.5,2",
+                "--out-csv", str(tmp_path / "m_{y}.csv"), "--out-pgm", str(tmp_path / "m_{y}.pgm")]
+        code, plain_out, plain_err = run_cli(capsys, argv)
+        assert code == 0 and plain_err == ""
+        code, out, err = run_cli(capsys, argv + ["--stats"])
+        assert code == 0 and out == plain_out
+        records = [json.loads(line) for line in err.splitlines()]
+        assert [r["y"] for r in records] == [0.5, 2.0]
+        for r, y in zip(records, ("0.5", "2")):
+            assert set(r) == {"y", "cells", "csv_bytes", "pgm_bytes",
+                              "compute_s", "csv_s", "pgm_s", "write_s"}
+            assert r["cells"] == 280 * 280
+            assert r["csv_bytes"] == (tmp_path / f"m_{y}.csv").stat().st_size
+            assert r["pgm_bytes"] == (tmp_path / f"m_{y}.pgm").stat().st_size
+            assert all(r[k] >= 0.0 for k in ("compute_s", "csv_s", "pgm_s", "write_s"))
+
     def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path):
         blobs = {}
-        for tag, threads in (("one", "1"), ("four", "4")):
+        for tag, threads in (("one", "1"), ("two", "2"), ("four", "4")):
             d = tmp_path / tag
             os.environ["KNU_THREADS"] = threads
             try:
@@ -196,4 +234,4 @@ class TestSignmapCommand:
                 name: (d / name).read_bytes()
                 for name in ("m_0.1.csv", "m_1.csv", "m_20.csv", "m_0.1.pgm", "m_1.pgm", "m_20.pgm")
             }
-        assert blobs["one"] == blobs["four"]
+        assert blobs["one"] == blobs["two"] == blobs["four"]

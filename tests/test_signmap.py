@@ -1,6 +1,11 @@
 """Sign maps: cellwise values, grid construction, matrix layout, and
 the text serializations."""
 
+import math
+import os
+import stat
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,7 @@ from knugamma.signmap import (
     sign_F,
     signmap_csv_text,
     signmap_pgm_text,
+    write_atomic,
 )
 
 
@@ -44,6 +50,23 @@ class TestSignF:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             sign_F(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "a, b, y",
+        [
+            (1.0, 2.0, math.inf),
+            (math.inf, 2.0, 1.0),
+            (1.0, math.inf, 1.0),
+            (math.nan, 2.0, 1.0),
+            (1.0, 2.0, math.nan),
+            (1e308, 1.5e308, 1.0),  # finite inputs, overflowing log terms
+        ],
+    )
+    def test_rejects_non_finite(self, a, b, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                sign_F(a, b, y)
 
 
 class TestGrids:
@@ -167,6 +190,31 @@ class TestSerialization:
         pixels = np.array(" ".join(lines[3:]).split(), dtype=int).reshape(8, 8)
         for i in range(8):
             assert pixels[7 - i, i] == 1
+
+    def test_write_atomic_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            write_atomic(str(tmp_path / "a.txt"), "x\n")
+            os.umask(0o077)
+            write_atomic(str(tmp_path / "b.txt"), ["x", "\n"])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "a.txt").st_mode) == 0o644
+        assert stat.S_IMODE(os.stat(tmp_path / "b.txt").st_mode) == 0o600
+        assert (tmp_path / "b.txt").read_text() == "x\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_pgm_line_breaks_for_any_width(self):
+        # widths around the 35-token line: every pixel kept in order,
+        # every line <= 70 characters and newline-terminated
+        for n in (2, 34, 35, 36, 71):
+            sm = grid_signmap(desk_grid(y_values=(1.0,), n_points=n), 1.0)
+            text = signmap_pgm_text(sm)
+            assert text.endswith("\n")
+            lines = text.splitlines()[3:]
+            assert all(len(line) <= 70 for line in lines)
+            pixels = np.array(" ".join(lines).split(), dtype=int)
+            assert np.array_equal(pixels, (sm.values + 1).ravel())
 
     def test_deterministic_bytes(self):
         spec = desk_grid(y_values=(2.5,), n_points=40)
