@@ -28,7 +28,6 @@ from .gamma import (
     log_gamma_knu,
     param_transform,
     pochhammer,
-    recip_gamma_product,
     stirling_approx,
 )
 from .oracle import EvalControl, OracleResult, oracle_eval
@@ -74,7 +73,6 @@ __all__ = [
     "gamma_knu",
     "pochhammer",
     "param_transform",
-    "recip_gamma_product",
     "stirling_approx",
     "log_beta_knu",
     "beta_knu",

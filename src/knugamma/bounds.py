@@ -75,8 +75,11 @@ class BoundReport:
     """All five ratio bounds and the actual ratio
     B_{k,nu}(x2, y) / B_{k,nu}(x1, y) at one (x1, x2, y).
 
-    Satisfies lower_T1 < actual_ratio < upper_T1, actual_ratio <
-    upper_T2, and lower_T31 <= actual_ratio <= upper_T32.
+    The exact values satisfy lower_T1 < actual_ratio < upper_T1,
+    actual_ratio < upper_T2, and lower_T31 <= actual_ratio <= upper_T32.
+    The fields are those values exponentiated from log space, so where
+    both sides of a strict inequality lie below the double range they
+    both read 0.0 and only the non-strict form holds.
     """
 
     lower_T1: float

@@ -301,19 +301,33 @@ def check_beta_product_truncation(g: _Grid) -> CheckResult:
     tol = g.tol(1.0)
     n_factors = 100_000
     j = np.arange(1, n_factors + 1, dtype=np.float64)
+    xs = g.xs
+    # log1p(x/(j c)) once per x and log1p((x+y)/(j c)) once per unordered
+    # pair, into buffers allocated once; each ordered cell still sums its
+    # own elementwise L_xy - L_x - L_y, as a direct evaluation would.
+    inv_jc = np.empty(n_factors)
+    log_x = np.empty((len(xs), n_factors))
+    log_xy = np.empty(n_factors)
+    diff = np.empty(n_factors)
+    log_prod = [[0.0] * len(xs) for _ in xs]
     dev, n = 0.0, 0
     for p in g.params:
-        inv_jc = 1.0 / (j * p.c)
-        for x in g.xs:
-            for y in g.xs:
-                log_prod = float(
-                    (
-                        np.log1p((x + y) * inv_jc)
-                        - np.log1p(x * inv_jc)
-                        - np.log1p(y * inv_jc)
-                    ).sum()
-                )
-                approx = (x + y) / (x * y) * p.nu**2 * math.exp(log_prod)
+        np.multiply(j, p.c, out=inv_jc)
+        np.divide(1.0, inv_jc, out=inv_jc)
+        for a, x in enumerate(xs):
+            np.multiply(x, inv_jc, out=log_x[a])
+            np.log1p(log_x[a], out=log_x[a])
+        for a, x in enumerate(xs):
+            for b in range(a, len(xs)):
+                np.multiply(x + xs[b], inv_jc, out=log_xy)
+                np.log1p(log_xy, out=log_xy)
+                for first, second in {(a, b), (b, a)}:
+                    np.subtract(log_xy, log_x[first], out=diff)
+                    np.subtract(diff, log_x[second], out=diff)
+                    log_prod[first][second] = float(diff.sum())
+        for a, x in enumerate(xs):
+            for b, y in enumerate(xs):
+                approx = (x + y) / (x * y) * p.nu**2 * math.exp(log_prod[a][b])
                 envelope = max(1e-3, 2.0 * x * y / (p.c**2 * n_factors))
                 dev = max(dev, _rel(approx, beta_knu(p, x, y)) / envelope)
                 n += 1

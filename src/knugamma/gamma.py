@@ -19,7 +19,6 @@ __all__ = [
     "gamma_knu",
     "pochhammer",
     "param_transform",
-    "recip_gamma_product",
     "stirling_approx",
 ]
 
@@ -84,29 +83,6 @@ def param_transform(from_p: Params, to_p: Params, x: float) -> float:
         return math.exp(log_value)
     except OverflowError:  # saturate like gamma_knu's linear carrier
         return math.inf
-
-
-def recip_gamma_product(p: Params, x: float, n_terms: int) -> float:
-    """Truncated product form of 1/Gamma_{k,nu}(x):
-
-        nu^(x/c-1) k^(-x/c) (x/nu) e^(gamma x/c)
-            * prod_{j=1..n} (1 + x/(j c)) e^(-x/(j c))
-
-    Converges like O(1/n_terms).  Accumulated in log space (log1p per
-    factor) so long products stay exact.
-    """
-    if not (x > 0.0):
-        raise PoleHit(f"recip_gamma_product requires x > 0, got x={x}")
-    if n_terms < 1:
-        raise ValueError(f"recip_gamma_product requires n_terms >= 1, got {n_terms}")
-    u = x / p.c
-    log_pref = (u - 1.0) * math.log(p.nu) - u * math.log(p.k) + math.log(x / p.nu)
-    log_pref += scalar.EULER_GAMMA * u
-    acc = 0.0
-    for j in range(1, n_terms + 1):
-        w = x / (j * p.c)
-        acc += math.log1p(w) - w
-    return math.exp(log_pref + acc)
 
 
 def stirling_approx(p: Params, x: float) -> float:

@@ -1,10 +1,14 @@
 """Classical special-function engine: ln Gamma, psi, polygamma, zeta,
 Hurwitz zeta on the positive real axis.
 
-Everything here is self-contained (no numpy, no scipy): a committed
-Lanczos coefficient set for ln Gamma, upward recurrence plus Bernoulli
-asymptotics for psi and its derivatives, and Euler-Maclaurin with fixed
-effort caps for the zetas.  All routines are pure and reentrant.
+No numpy, no scipy: ln Gamma is the C library's ``lgamma`` (via
+``math.lgamma``), psi and its derivatives use upward recurrence plus
+Bernoulli asymptotics, and the zetas use Euler-Maclaurin with fixed
+effort caps.  The constant series coefficients are computed once, not
+per call.  All routines are pure and reentrant.
+
+Every routine returns a finite double or raises a ``ScalarDomainError``
+subclass, for every float argument including inf, nan and subnormals.
 """
 
 import math
@@ -20,34 +24,6 @@ __all__ = [
     "riemann_zeta",
     "hurwitz_zeta",
 ]
-
-# Lanczos approximation, g = 607/128, 15 terms (P. Godfrey's set,
-# widely copied across numerics libraries).  Generation note: the
-# coefficients solve the least-squares system for the Lanczos series at
-# g = 607/128 in extended precision; this exact set is reproducible
-# with Godfrey's published generator and is committed here verbatim to
-# 20 significant digits.  Measured worst error of ln_gamma against a
-# 40-digit reference on [1e-3, 1e3] is 6.5e-16 relative (normalized by
-# max(1, |ln Gamma|)).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEFFS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # B_{2n} for n = 1..15 as double literals.
 _BERNOULLI_EVEN = (
@@ -75,72 +51,135 @@ _PSI_SHIFT = 10.0
 _ZETA_BASE_TERMS = 25
 _ZETA_BERNOULLI_TERMS = 12
 
+# digamma's asymptotic coefficients B_{2n}/(2n), n = 1..7.
+_DIGAMMA_COEFFS = tuple(_BERNOULLI_EVEN[n - 1] / (2 * n) for n in range(1, 8))
+
+
+def _em_coeffs():
+    """(B_2k/(2k)!, 2k) for k = 1.._ZETA_BERNOULLI_TERMS, with (2k)!
+    accumulated as a running double product (rounded at each step, so it
+    is not always float((2k)!))."""
+    out = []
+    fact = 2.0
+    for k in range(1, _ZETA_BERNOULLI_TERMS + 1):
+        out.append((_BERNOULLI_EVEN[k - 1] / fact, float(2 * k)))
+        fact *= (2 * k + 1) * (2 * k + 2)
+    return tuple(out)
+
+
+_EM_COEFFS = _em_coeffs()
+
+# polygamma's constants per order m, filled on first use of each m:
+# (m!, (m-1)!, B_{2j} (2j+m-1)!/(2j)! for j = 1..10) as doubles.
+_POLYGAMMA_TABLES = {}
+# The largest m whose constants are all finite doubles: for m = 151 the
+# j = 10 coefficient B_20 * 170!/20! already overflows.
+_POLYGAMMA_MAX_ORDER = 150
+
+
+def _polygamma_table(m: int):
+    table = _POLYGAMMA_TABLES.get(m)
+    if table is None:
+        if m > _POLYGAMMA_MAX_ORDER:
+            raise Overflow(
+                f"polygamma order m={m} > {_POLYGAMMA_MAX_ORDER}: its series "
+                "coefficients exceed double range"
+            )
+        coeffs = tuple(
+            _BERNOULLI_EVEN[j - 1] * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
+            for j in range(1, 11)
+        )
+        table = (float(math.factorial(m)), float(math.factorial(m - 1)), coeffs)
+        _POLYGAMMA_TABLES[m] = table
+    return table
+
 
 def ln_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0.
 
-    Raises NonPositiveArgument for x <= 0.
+    Raises NonPositiveArgument for x <= 0 or nan, and Overflow where
+    ln Gamma(x) exceeds double range (x above about 2.5e305, and
+    x = inf).
     """
     if not (x > 0.0):
         raise NonPositiveArgument(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # One recurrence step keeps the Lanczos core on x >= 0.5.
-        return ln_gamma(x + 1.0) - math.log(x)
-    series = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[i] / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(series)
+    if x < math.inf:
+        try:
+            return math.lgamma(x)
+        except OverflowError:
+            pass
+    raise Overflow(f"ln_gamma({x}) exceeds double range")
 
 
 def digamma(x: float) -> float:
-    """psi(x) = d/dx ln Gamma(x) for x > 0."""
+    """psi(x) = d/dx ln Gamma(x) for x > 0.
+
+    Raises NonPositiveArgument for x <= 0 or nan, and Overflow where
+    |psi(x)| exceeds double range (x below about 5.6e-309, and x = inf).
+    """
     if not (x > 0.0):
         raise NonPositiveArgument(f"digamma requires x > 0, got {x}")
     acc = 0.0
-    while x < _PSI_SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    # psi(x) ~ ln x - 1/(2x) - sum_n B_{2n}/(2n x^{2n}); seven terms at
-    # x >= 10 leave the tail below 1e-17 relative.
-    inv = 1.0 / x
+    z = x
+    while z < _PSI_SHIFT:
+        acc -= 1.0 / z
+        z += 1.0
+    # psi(z) ~ ln z - 1/(2z) - sum_n B_{2n}/(2n z^{2n}); seven terms at
+    # z >= 10 leave the tail below 1e-17 relative.
+    inv = 1.0 / z
     inv2 = inv * inv
-    result = math.log(x) - 0.5 * inv
+    result = math.log(z) - 0.5 * inv
     power = inv2
-    for n in range(1, 8):
-        result -= _BERNOULLI_EVEN[n - 1] / (2 * n) * power
+    for coeff in _DIGAMMA_COEFFS:
+        result -= coeff * power
         power *= inv2
-    return acc + result
+    result = acc + result
+    if not math.isfinite(result):
+        raise Overflow(f"digamma({x}) exceeds double range")
+    return result
 
 
 def polygamma(m: int, x: float) -> float:
     """psi^(m)(x) = (-1)^(m+1) m! sum_{n>=0} (x+n)^-(m+1), for m >= 1,
-    x > 0."""
+    x > 0.
+
+    Raises ValueError for m < 1, NonPositiveArgument for x <= 0 or nan,
+    and Overflow where the result exceeds double range (small x) or
+    m > 150 (the order's series constants exceed it).  x = inf gives
+    the limit 0.
+    """
     if m < 1:
         raise ValueError(f"polygamma requires m >= 1, got {m}")
     if not (x > 0.0):
         raise NonPositiveArgument(f"polygamma requires x > 0, got {x}")
+    fact_m, fact_m1, coeffs = _polygamma_table(m)
     sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
-    fact_m = math.factorial(m)
-    # Upward recurrence: psi^(m)(x) = psi^(m)(x+1) + (-1)^(m+1) m! x^-(m+1).
+    # Upward recurrence: psi^(m)(z) = psi^(m)(z+1) + (-1)^(m+1) m! z^-(m+1).
     shift = _PSI_SHIFT + m
+    step = sign * fact_m
     acc = 0.0
-    while x < shift:
-        acc += sign * fact_m * x ** (-(m + 1))
-        x += 1.0
+    z = x
+    try:
+        while z < shift:
+            acc += step * z ** (-(m + 1))
+            z += 1.0
+    except OverflowError:
+        raise Overflow(f"polygamma({m}, {x}) exceeds double range") from None
     # Asymptotic series ((-1)^(m-1) factor equals (-1)^(m+1) == sign):
-    # psi^(m)(x) ~ (-1)^(m-1) [ (m-1)!/x^m + m!/(2 x^(m+1))
-    #                + sum_j B_{2j} (2j+m-1)!/(2j)! x^-(2j+m) ].
-    inv = 1.0 / x
+    # psi^(m)(z) ~ (-1)^(m-1) [ (m-1)!/z^m + m!/(2 z^(m+1))
+    #                + sum_j B_{2j} (2j+m-1)!/(2j)! z^-(2j+m) ].
+    inv = 1.0 / z
     xm = inv**m
-    total = math.factorial(m - 1) * xm + 0.5 * fact_m * xm * inv
+    total = fact_m1 * xm + 0.5 * fact_m * xm * inv
     inv2 = inv * inv
     power = xm * inv2
-    for j in range(1, 11):
-        coeff = _BERNOULLI_EVEN[j - 1] * math.factorial(2 * j + m - 1) / math.factorial(2 * j)
+    for coeff in coeffs:
         total += coeff * power
         power *= inv2
-    return acc + sign * total
+    result = acc + sign * total
+    if not math.isfinite(result):
+        raise Overflow(f"polygamma({m}, {x}) exceeds double range")
+    return result
 
 
 def _em_tail(s: float, base: float) -> float:
@@ -149,21 +188,26 @@ def _em_tail(s: float, base: float) -> float:
     rising = s  # (s)_1
     power = base ** (-s - 1.0)
     inv2 = 1.0 / (base * base)
-    fact = 2.0  # (2k)! running value, starts at 2! for k=1
-    k = 1
-    while k <= _ZETA_BERNOULLI_TERMS:
-        total += _BERNOULLI_EVEN[k - 1] / fact * rising * power
-        # advance (s)_{2k-1} -> (s)_{2k+1}, (2k)! -> (2k+2)!, power
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        fact *= (2 * k + 1) * (2 * k + 2)
+    for coeff, two_k in _EM_COEFFS:
+        # Once the power underflows every later term is zero; stopping
+        # here also keeps an overflowing (s)_{2k-1} (huge s) from
+        # turning 0 * inf into nan.
+        if power == 0.0:
+            break
+        total += coeff * rising * power
+        # (s)_{2k-1} -> (s)_{2k+1}; s + 2k - 1 is rounded as (s + 2k) - 1
+        t = s + two_k
+        rising *= (t - 1.0) * t
         power *= inv2
-        k += 1
     return total
 
 
 def riemann_zeta(s: float) -> float:
     """zeta(s) = sum_{n>=1} n^-s for s > 1, by Euler-Maclaurin with a
-    fixed direct-sum length and Bernoulli-term count."""
+    fixed direct-sum length and Bernoulli-term count.
+
+    Raises DivergentSeries for s <= 1 or nan; s = inf gives the limit 1.
+    """
     if not (s > 1.0):
         raise DivergentSeries(f"riemann_zeta requires s > 1, got {s}")
     n_terms = _ZETA_BASE_TERMS + int(0.5 * min(s, 200.0))
@@ -176,7 +220,12 @@ def riemann_zeta(s: float) -> float:
 
 
 def hurwitz_zeta(s: float, q: float) -> float:
-    """zeta(s, q) = sum_{n>=0} (q+n)^-s for s > 1, q > 0."""
+    """zeta(s, q) = sum_{n>=0} (q+n)^-s for s > 1, q > 0.
+
+    Raises DivergentSeries for s <= 1 or nan, NonPositiveArgument for
+    q <= 0 or nan, and Overflow where the result exceeds double range
+    (small q).  s = inf and q = inf give their limits.
+    """
     if not (s > 1.0):
         raise DivergentSeries(f"hurwitz_zeta requires s > 1, got {s}")
     if not (q > 0.0):
@@ -190,4 +239,7 @@ def hurwitz_zeta(s: float, q: float) -> float:
         raise Overflow(f"hurwitz_zeta({s}, {q}) exceeds double range") from None
     base = q + n_terms
     tail = base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s)
-    return direct + tail + _em_tail(s, base)
+    result = direct + tail + _em_tail(s, base)
+    if not math.isfinite(result):
+        raise Overflow(f"hurwitz_zeta({s}, {q}) exceeds double range")
+    return result
