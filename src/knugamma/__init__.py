@@ -19,6 +19,7 @@ from .errors import (
     DomainWindow,
     NonPositiveArgument,
     Overflow,
+    ParameterRange,
     PoleHit,
     ScalarDomainError,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "PoleHit",
     "DivergentSeries",
     "Overflow",
+    "ParameterRange",
     "DomainWindow",
     "EULER_GAMMA",
     "PAPER_Y_VALUES",

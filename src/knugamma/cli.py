@@ -13,6 +13,7 @@ other threads running, runs serially in-process.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -300,8 +301,8 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
         except ValueError:
             sys.stderr.write(f"bad --y value {args.y!r}\n")
             return 2
-        if any(v <= 0 for v in y_values):
-            sys.stderr.write("--y values must be positive\n")
+        if not all(v > 0 and math.isfinite(v) for v in y_values):
+            sys.stderr.write("--y values must be positive and finite\n")
             return 2
     else:
         y_values = PAPER_Y_VALUES
@@ -316,6 +317,9 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
         results = _write_maps(spec, jobs, workers)
     except OSError as exc:
         sys.stderr.write(f"cannot write output: {exc}\n")
+        return 2
+    except ValueError as exc:  # a y whose map overflows; its files are not written
+        sys.stderr.write(f"cannot compute sign map: {exc}\n")
         return 2
     for paths, stats in results:
         if args.stats:

@@ -40,6 +40,14 @@ class Overflow(ScalarDomainError):
     kind = "Overflow"
 
 
+class ParameterRange(ScalarDomainError):
+    """A deformation pair outside the double range: k or nu infinite,
+    or c = k nu or r = k/nu overflowing or below the smallest normal
+    double."""
+
+    kind = "ParameterRange"
+
+
 class DomainWindow(ScalarDomainError):
     """Argument outside the window on which a bound is valid."""
 

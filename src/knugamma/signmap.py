@@ -115,14 +115,25 @@ def _ternary(ln_a, ln_b):
 
 
 def sign_F(a: float, b: float, y: float) -> int:
-    """Ternary comparison of the two upper bounds at one cell."""
+    """Ternary comparison of the two upper bounds at one cell: the
+    formulas of ``log_bound_terms`` and the rule of ``_ternary`` on
+    plain floats."""
     if not all(v > 0.0 and math.isfinite(v) for v in (a, b, y)):
         raise ValueError(f"sign_F requires finite a, b, y > 0, got ({a}, {b}, {y})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ln_a, ln_b = log_bound_terms(a, b, y)
-    if not (np.isfinite(ln_a) and np.isfinite(ln_b)):
+    log = math.log
+    ln_a = (
+        (b + 1.0) * log(b)
+        - (a + 1.0) * log(a)
+        + (a + y + 1.0) * log(a + y)
+        - (b + y + 1.0) * log(b + y)
+    )
+    ln_b = y * (log(a + y + 1.0) - log(b + y + 1.0))
+    if not (math.isfinite(ln_a) and math.isfinite(ln_b)):
         raise ValueError(f"sign_F log terms overflow at ({a}, {b}, {y})")
-    return int(_ternary(np.atleast_1d(ln_a), np.atleast_1d(ln_b))[0])
+    diff = ln_a - ln_b
+    if abs(diff) <= SIGN_ZERO_RTOL * max(1.0, abs(ln_a), abs(ln_b)):
+        return 0
+    return 1 if diff > 0.0 else -1
 
 
 @dataclass(frozen=True)
@@ -140,13 +151,18 @@ class SignMap:
 
 def grid_signmap(spec: GridSpec, y: float) -> SignMap:
     """Fill the ternary matrix for one y value.  Pure and vectorized:
-    the result is identical no matter how callers schedule cells."""
+    the result is identical no matter how callers schedule cells.
+    Raises ValueError, as ``sign_F`` does, if any log term is not
+    finite (y = nan or inf, or a y so large that the terms overflow)."""
     if y not in spec.y_values:
         raise ValueError(f"y={y} is not one of the grid's y_values")
     a_row = np.asarray(spec.a_points, dtype=np.float64)
     b_col = np.asarray(spec.b_points, dtype=np.float64)[::-1]  # descending
     aa, bb = np.meshgrid(a_row, b_col)
-    ln_a, ln_b = log_bound_terms(aa, bb, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ln_a, ln_b = log_bound_terms(aa, bb, y)
+    if not (np.isfinite(ln_a).all() and np.isfinite(ln_b).all()):
+        raise ValueError(f"sign-map log terms are not finite at y={y}")
     return SignMap(grid=spec, y=y, values=_ternary(ln_a, ln_b), ln_a=ln_a, ln_b=ln_b)
 
 
@@ -154,25 +170,46 @@ def grid_signmap(spec: GridSpec, y: float) -> SignMap:
 # serialization: bit-exact text formats, no image library
 
 
+def _repr_row(row: np.ndarray) -> list:
+    """``[repr(v) for v in row]`` for a 1-D float64 array, without a
+    Python ``repr`` per value: orjson writes the same shortest
+    round-trip digits (Ryu) in one call.  Its notation differs from
+    ``repr`` only for nonzero |v| < 1e-4 (``0.00001`` for ``1e-05``),
+    |v| >= 1e16 (``1e16`` for ``1e+16``) and nan/inf (``null``); those
+    few tokens are redone with ``repr``."""
+    import orjson  # only the CSV writer needs it
+
+    row = np.ascontiguousarray(row, dtype=np.float64)
+    tokens = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+    mag = np.abs(row)
+    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (row != 0.0)).tolist():
+        tokens[i] = repr(float(row[i]))
+    return tokens
+
+
 def iter_signmap_csv(sm: SignMap) -> Iterator[str]:
     """CSV chunks: header a,b,y,lnA,lnB,F, one row per cell, b
     descending then a ascending (same order as the matrix).  Yields one
     chunk per matrix row so paper-scale maps stream in bounded memory.
-    Floats are written with ``repr``; the a column, the per-row
-    ``b,y`` text and the F text are formatted once, not per cell."""
+    Floats are written exactly as ``repr`` writes them; the a column,
+    the per-row ``b,y`` text and the F text are formatted once, not
+    per cell."""
     a_txt = [repr(a) for a in np.asarray(sm.grid.a_points, dtype=np.float64).tolist()]
     b_col = np.asarray(sm.grid.b_points, dtype=np.float64)[::-1].tolist()
     y_txt = repr(float(sm.y))
     f_txt = (",-1\n", ",0\n", ",1\n")
+    n = len(a_txt)
+    # one row's text as a flat token list, six tokens per cell:
+    # a  ,b,y,  lnA  ,  lnB  ,F\n
+    tokens = [","] * (6 * n)
+    tokens[0::6] = a_txt
     yield "a,b,y,lnA,lnB,F\n"
     for b, row_a, row_b, row_f in zip(b_col, sm.ln_a, sm.ln_b, sm.values + 1):
-        mid = f",{b!r},{y_txt},"
-        yield "".join(
-            [
-                "%s%s%r,%r%s" % (a, mid, la, lb, f_txt[f])
-                for a, la, lb, f in zip(a_txt, row_a.tolist(), row_b.tolist(), row_f.tolist())
-            ]
-        )
+        tokens[1::6] = [f",{b!r},{y_txt},"] * n
+        tokens[2::6] = _repr_row(row_a)
+        tokens[4::6] = _repr_row(row_b)
+        tokens[5::6] = [f_txt[f] for f in row_f.tolist()]
+        yield "".join(tokens)
 
 
 def signmap_csv_text(sm: SignMap) -> str:

@@ -216,6 +216,19 @@ class TestSignmapCommand:
             assert r["pgm_bytes"] == (tmp_path / f"m_{y}.pgm").stat().st_size
             assert all(r[k] >= 0.0 for k in ("compute_s", "csv_s", "pgm_s", "write_s"))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("y", ["nan", "inf", "1e308"])
+    def test_non_finite_or_overflowing_y_exit_2(self, capsys, tmp_path, y):
+        code, out, err = run_cli(
+            capsys,
+            ["signmap", "--mode", "desk", "--y", y,
+             "--out-csv", str(tmp_path / "m_{y}.csv"), "--out-pgm", str(tmp_path / "m_{y}.pgm")],
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path):
         blobs = {}
         for tag, threads in (("one", "1"), ("two", "2"), ("four", "4")):

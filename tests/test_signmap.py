@@ -8,9 +8,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knugamma.signmap import (
     PAPER_Y_VALUES,
+    GridSpec,
+    _repr_row,
     desk_grid,
     grid_signmap,
     log_bound_terms,
@@ -99,6 +103,14 @@ class TestGrids:
 
 
 class TestGridSignmap:
+    @pytest.mark.parametrize("y", [math.nan, math.inf, 1e308])
+    def test_rejects_non_finite_log_terms(self, y):
+        spec = GridSpec(a_points=(0.5, 2.0), b_points=(1.0, 3.0), y_values=(y,), mode="desk")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                grid_signmap(spec, y)
+
     def test_y_must_be_registered(self):
         spec = desk_grid(y_values=(1.0,))
         with pytest.raises(ValueError):
@@ -224,6 +236,38 @@ class TestSerialization:
         pa = signmap_pgm_text(grid_signmap(spec, 2.5))
         pb = signmap_pgm_text(grid_signmap(spec, 2.5))
         assert pa == pb
+
+
+_EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 9.999999999999999e-05,
+    1e-4, 1.0000000000000002e-4, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+    1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+)
+
+
+class TestReprRow:
+    """The CSV row formatter writes every float64 exactly as ``repr``."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @example(list(_EDGE_FLOATS))
+    def test_matches_repr(self, values):
+        row = np.array(values, dtype=np.float64)
+        want = [repr(v) for v in row.tolist()]
+        assert _repr_row(row) == want
+        # a strided (non-contiguous) view of the same values
+        wide = np.empty(2 * len(row))
+        wide[::2] = row
+        assert _repr_row(wide[::2]) == want
+        # a column of a C-ordered matrix
+        assert _repr_row(np.tile(row[:, None], (1, 2))[:, 1]) == want
+
+    def test_random_bit_patterns(self):
+        # uniform over the 2^64 bit patterns: every exponent, sign,
+        # subnormals and nan payloads
+        bits = np.random.default_rng(11).integers(0, 2**64, 20000, dtype=np.uint64)
+        row = bits.view(np.float64)
+        assert _repr_row(row) == [repr(v) for v in row.tolist()]
 
 
 class TestGoldenSnapshot:
