@@ -245,8 +245,11 @@ def _write_maps(spec: GridSpec, jobs: List[Tuple[float, str, str]], workers: int
     """(paths, stats) for each (y, csv_path, pgm_path) job, in job
     order.  Maps are computed here; with more than one worker, the fork
     start method available and no other thread running, their files are
-    written by a process pool, with at most ``workers`` maps in flight
-    so memory does not grow with the number of jobs."""
+    written by a process pool.  At most ``workers + 1`` maps are in
+    flight, so memory does not grow with the number of jobs: one map
+    waits in the pool's queue while each worker writes another, and a
+    worker that finishes starts the next map at once instead of idling
+    until this process has computed and sent it."""
 
     def compute(y: float):
         t0 = time.thread_time()
@@ -281,7 +284,7 @@ def _write_maps(spec: GridSpec, jobs: List[Tuple[float, str, str]], workers: int
     with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
         pending = collections.deque()
         for y, csv_path, pgm_path in jobs:
-            if len(pending) == workers:
+            if len(pending) > workers:
                 collect(pending)
             sm, stats = compute(y)
             pending.append((pool.submit(_write_map, sm, csv_path, pgm_path), stats))
