@@ -91,8 +91,12 @@ class BoundReport:
 
 
 def ratio_bounds(p: Params, x1: float, x2: float, y: float) -> BoundReport:
-    if not (0.0 < x1 < x2):
-        raise ValueError(f"ratio_bounds requires 0 < x1 < x2, got ({x1}, {x2})")
+    """The ``BoundReport`` at (x1, x2, y).  Raises ``PoleHit`` for x1
+    or y not > 0 (nan included) and ``DomainWindow`` for x2 not > x1."""
+    if not (x1 > 0.0):
+        raise PoleHit(f"ratio_bounds requires x1 > 0, got {x1}")
+    if not (x2 > x1):
+        raise DomainWindow(f"ratio_bounds requires x1 < x2, got ({x1}, {x2})")
     if not (y > 0.0):
         raise PoleHit(f"ratio_bounds requires y > 0, got {y}")
     c = p.c

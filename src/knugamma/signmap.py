@@ -30,8 +30,6 @@ __all__ = [
     "grid_signmap",
     "iter_signmap_csv",
     "iter_signmap_pgm",
-    "signmap_csv_text",
-    "signmap_pgm_text",
     "write_atomic",
 ]
 
@@ -212,10 +210,6 @@ def iter_signmap_csv(sm: SignMap) -> Iterator[str]:
         yield "".join(tokens)
 
 
-def signmap_csv_text(sm: SignMap) -> str:
-    return "".join(iter_signmap_csv(sm))
-
-
 _PGM_TOKENS_PER_LINE = 35  # 35 single-digit tokens = 69 chars <= the plain-format 70 cap
 _PGM_LINES_PER_CHUNK = 2000
 _PGM_DIGITS = np.frombuffer(b"012", dtype=np.uint8)
@@ -243,10 +237,6 @@ def iter_signmap_pgm(sm: SignMap) -> Iterator[str]:
     block = _PGM_TOKENS_PER_LINE * _PGM_LINES_PER_CHUNK
     for start in range(0, len(digits), block):
         yield _pgm_lines(digits[start : start + block])
-
-
-def signmap_pgm_text(sm: SignMap) -> str:
-    return "".join(iter_signmap_pgm(sm))
 
 
 def _umask() -> int:

@@ -1,11 +1,130 @@
 """Check-suite internals that the acceptance gate sees only through
 verdicts."""
 
+import inspect
 import math
 
 import numpy as np
+import pytest
 
 from knugamma import Params, beta_knu, checks
+from knugamma.errors import Overflow
+
+# (name, points, skipped, tol) on the default grid, then (points,
+# skipped) on knu_values=(1, 2) with tol=1e-3: what each check samples
+# must not change when the way checks are run does.
+SHAPES = [
+    ("scalar-lngamma-recurrence", 5, 0, 1e-12, 5, 0),
+    ("scalar-hurwitz-recurrence", 9, 0, 1e-11, 9, 0),
+    ("gamma-value-at-knu", 16, 0, 1e-12, 4, 0),
+    ("gamma-recurrence", 96, 0, 1e-11, 24, 0),
+    ("gamma-reflection", 144, 0, 1e-10, 36, 0),
+    ("gamma-rescale-k", 64, 0, 1e-11, 16, 0),
+    ("gamma-rescale-nu", 64, 0, 1e-11, 16, 0),
+    ("pochhammer-gamma", 192, 0, 1e-11, 48, 0),
+    ("gamma-duplication", 64, 0, 1e-10, 16, 0),
+    ("gamma-log-convexity", 192, 0, 1e-12, 48, 0),
+    ("param-transform", 16, 0, 1e-12, 16, 0),
+    ("beta-symmetry", 256, 0, 1e-12, 64, 0),
+    ("beta-shift-x", 256, 0, 1e-10, 64, 0),
+    ("beta-shift-y", 256, 0, 1e-10, 64, 0),
+    ("beta-pascal", 256, 0, 1e-10, 64, 0),
+    ("beta-ratio-identity", 1024, 0, 1e-10, 256, 0),
+    ("beta-product-truncation", 256, 0, 1.0, 64, 0),
+    ("beta-secant", 112, 0, 1e-10, 28, 0),
+    ("beta-self-duplication", 64, 0, 1e-10, 16, 0),
+    ("psi-reflection", 112, 0, 1e-10, 28, 0),
+    ("psi-duplication", 64, 0, 1e-10, 16, 0),
+    ("psi-shift-sum", 192, 0, 1e-11, 48, 0),
+    ("psi-limit-formula", 9, 0, 1e-3, 9, 0),
+    ("zeta-polygamma-bridge", 192, 0, 1e-10, 48, 0),
+    ("hurwitz-knu-recurrence", 192, 0, 1e-10, 48, 0),
+    ("zeta-limit-bridge", 32, 0, 1.0, 8, 0),
+    ("jensen-gamma", 432, 0, 1e-12, 108, 0),
+    ("chebyshev-beta", 112, 0, 1e-12, 28, 0),
+    ("gamma-superadditivity", 120, 0, 1e-12, 36, 0),
+    ("gamma-product-bound", 242, 0, 1e-12, 64, 0),
+    ("gamma-half-shift-bound", 64, 0, 1e-12, 16, 0),
+    ("jensen-beta", 112, 0, 1e-12, 28, 0),
+    ("ratio-bound-chain", 384, 0, 1e-12, 96, 0),
+    ("ordering-upper-T1-lt-T2", 384, 0, 1e-12, 96, 0),
+    ("ordering-lower-T31-gt-T1", 384, 0, 1e-12, 96, 0),
+    ("beta-gamma-upper", 192, 0, 1e-12, 48, 0),
+    ("novariable-upper", 96, 0, 1e-12, 24, 0),
+    ("alzer-window-improvement", 10, 0, 1e-12, 10, 0),
+    ("polygamma-table", 1200, 0, 1e-12, 300, 0),
+    ("psi-increasing-lngamma-convex", 208, 0, 1e-12, 52, 0),
+    ("polygamma-midpoint-bounds", 384, 0, 1e-12, 96, 0),
+    ("polygamma-trapezoid-bounds", 576, 0, 1e-12, 144, 0),
+    ("polygamma-power-ratio-r-gt-1", 920, 232, 1e-12, 224, 64),
+    ("polygamma-power-ratio-r-lt-1", 440, 136, 1e-12, 104, 40),
+    ("sign-F-antisymmetry", 204, 0, 0.0, 204, 0),
+    ("stirling-error-decay", 6, 0, 1e-12, 6, 0),
+    ("oracle-gamma-integral", 20, 0, 1e-8, 20, 0),
+    ("oracle-beta-unit", 20, 0, 1e-8, 20, 0),
+    ("oracle-beta-scaled", 20, 0, 1e-8, 20, 0),
+    ("oracle-psi-integral", 20, 0, 1e-7, 20, 0),
+    ("oracle-psi-log-integral", 20, 0, 1e-7, 20, 0),
+    ("oracle-polygamma", 24, 0, 1e-8, 24, 0),
+    ("oracle-zeta-integral", 20, 0, 1e-7, 20, 0),
+    ("oracle-hurwitz-integral", 20, 0, 1e-7, 20, 0),
+    ("oracle-sine-integral", 7, 0, 1e-8, 7, 0),
+    ("oracle-recip-product", 4, 0, 1.0, 4, 0),
+    ("oracle-gamma-limit-rate", 6, 0, 1.0, 6, 0),
+    ("pde-residuals", 9, 0, 1e-4, 9, 0),
+]
+SUITE_NAMES = ("identities", "inequalities", "oracle", "pde")
+
+
+def _shape(results):
+    return [(r.name, r.points, r.skipped, r.tol) for r in results]
+
+
+def test_suite_names_points_skips_and_tolerances_are_pinned():
+    assert _shape(checks.run_suite("all")) == [s[:4] for s in SHAPES]
+    small = checks.run_suite("all", knu_values=(1, 2), tol=1e-3)
+    assert _shape(small) == [(s[0], s[4], s[5], 1e-3) for s in SHAPES]
+
+
+def test_suites_hold_public_module_functions():
+    # perfbench/workloads.py wraps and names the checks through these
+    # lists and the module attributes
+    assert list(checks.SUITES) == [*SUITE_NAMES, "all"]
+    assert checks.SUITES["all"] == [fn for s in SUITE_NAMES for fn in checks.SUITES[s]]
+    assert len({id(fns) for fns in checks.SUITES.values()}) == 5
+    fns = checks.SUITES["all"]
+    assert len({fn.__name__ for fn in fns}) == len(fns) == len(SHAPES)
+    for fn in fns:
+        assert inspect.isfunction(fn) and fn.__module__ == "knugamma.checks"
+        assert not fn.__name__.startswith("_")
+        assert getattr(checks, fn.__name__) is fn
+    assert checks.check_beta_product_truncation in checks.SUITES["identities"]
+
+
+@pytest.mark.parametrize("error", [Overflow("x"), OverflowError(), ZeroDivisionError()])
+def test_a_raising_check_fails_with_its_points_so_far(monkeypatch, error):
+    calls = []
+
+    def pochhammer(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise error
+        return 1.0
+
+    monkeypatch.setattr(checks, "pochhammer", pochhammer)
+    # it fails whatever the tolerance
+    g = checks._Grid([Params(1.0, 1.0)], checks.GRID_X, tol_override=math.inf)
+    r = checks.check_pochhammer_gamma(g)
+    assert (r.passed, r.max_dev, r.points) == (False, math.inf, 2)
+    assert r.note == f"raised {type(error).__name__}"
+
+
+def test_jensen_beta_bound_outside_its_regions_fails(monkeypatch):
+    monkeypatch.setattr(checks, "jensen_beta_bound", lambda p, x, y: (1.0, "upper"))
+    g = checks._Grid([Params(1.0, 1.0), Params(2.0, 3.0)], checks.GRID_X)
+    r = checks.check_jensen_beta(g)
+    assert (r.passed, r.max_dev, r.points) == (False, math.inf, 7)
+    assert r.note == "bound given outside both regions"
 
 
 def _beta_product_truncation_direct(g):

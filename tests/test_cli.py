@@ -113,6 +113,22 @@ class TestCheck:
         code, out, _ = run_cli(capsys, ["check", "--suite", "oracle"])
         assert code == 0
 
+    @pytest.mark.parametrize("grid", ["1e100", "1e-100"])
+    def test_raising_checks_fail_and_the_suite_goes_on(self, grid):
+        # at these grids some checks overflow or divide by zero; each
+        # such check is one FAIL line naming the error, the others run
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(knugamma.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "knugamma.cli", "check", "--suite", "all", "--grid", grid],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = [l for l in proc.stdout.splitlines() if l.startswith(("PASS", "FAIL"))]
+        assert len(lines) == 58
+        raised = [l for l in lines if "(raised " in l]
+        assert raised and all(l.startswith("FAIL") and "max_dev=inf" in l for l in raised)
+
 
 class TestBounds:
     def test_worked_example(self, capsys):

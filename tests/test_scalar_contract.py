@@ -9,8 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knugamma import Params, hurwitz_knu, scalar, zeta_knu
-from knugamma.errors import NonPositiveArgument, Overflow, ParameterRange, ScalarDomainError
+from knugamma import Params, hurwitz_knu, ratio_bounds, scalar, zeta_knu
+from knugamma.errors import (
+    DomainWindow,
+    NonPositiveArgument,
+    Overflow,
+    ParameterRange,
+    PoleHit,
+    ScalarDomainError,
+)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -159,6 +166,24 @@ def test_knu_infinite_argument_limits(fn, args, want):
 def test_knu_overflow(fn, args):
     with pytest.raises(Overflow):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "x1,x2,y,error",
+    [
+        (0.0, 1.0, 1.0, PoleHit),
+        (-1.0, 1.0, 1.0, PoleHit),
+        (math.nan, 1.0, 1.0, PoleHit),
+        (1.0, 2.0, 0.0, PoleHit),
+        (1.0, 2.0, math.nan, PoleHit),
+        (2.0, 1.0, 1.0, DomainWindow),
+        (1.0, 1.0, 1.0, DomainWindow),
+        (1.0, math.nan, 1.0, DomainWindow),
+    ],
+)
+def test_ratio_bounds_typed_errors(x1, x2, y, error):
+    with pytest.raises(error):
+        ratio_bounds(Params(1, 1), x1, x2, y)
 
 
 @pytest.mark.parametrize(

@@ -17,11 +17,11 @@ from knugamma.signmap import (
     _repr_row,
     desk_grid,
     grid_signmap,
+    iter_signmap_csv,
+    iter_signmap_pgm,
     log_bound_terms,
     paper_grid,
     sign_F,
-    signmap_csv_text,
-    signmap_pgm_text,
     write_atomic,
 )
 
@@ -167,7 +167,7 @@ class TestSerialization:
 
     def test_csv_header_and_shape(self):
         sm = self._small_map()
-        text = signmap_csv_text(sm)
+        text = "".join(iter_signmap_csv(sm))
         lines = text.splitlines()
         assert lines[0] == "a,b,y,lnA,lnB,F"
         assert len(lines) == 1 + 64
@@ -179,14 +179,14 @@ class TestSerialization:
 
     def test_csv_round_trips_floats(self):
         sm = self._small_map()
-        for line in signmap_csv_text(sm).splitlines()[1:3]:
+        for line in "".join(iter_signmap_csv(sm)).splitlines()[1:3]:
             a, b, y, ln_a, ln_b, f = line.split(",")
             assert repr(float(a)) == a
             assert repr(float(ln_a)) == ln_a
 
     def test_pgm_structure(self):
         sm = self._small_map()
-        text = signmap_pgm_text(sm)
+        text = "".join(iter_signmap_pgm(sm))
         lines = text.splitlines()
         assert lines[0] == "P2"
         assert lines[1] == "8 8"
@@ -198,7 +198,7 @@ class TestSerialization:
 
     def test_pgm_diagonal_value_one(self):
         sm = self._small_map()
-        lines = signmap_pgm_text(sm).splitlines()
+        lines = "".join(iter_signmap_pgm(sm)).splitlines()
         pixels = np.array(" ".join(lines[3:]).split(), dtype=int).reshape(8, 8)
         for i in range(8):
             assert pixels[7 - i, i] == 1
@@ -221,7 +221,7 @@ class TestSerialization:
         # every line <= 70 characters and newline-terminated
         for n in (2, 34, 35, 36, 71):
             sm = grid_signmap(desk_grid(y_values=(1.0,), n_points=n), 1.0)
-            text = signmap_pgm_text(sm)
+            text = "".join(iter_signmap_pgm(sm))
             assert text.endswith("\n")
             lines = text.splitlines()[3:]
             assert all(len(line) <= 70 for line in lines)
@@ -230,11 +230,11 @@ class TestSerialization:
 
     def test_deterministic_bytes(self):
         spec = desk_grid(y_values=(2.5,), n_points=40)
-        a = signmap_csv_text(grid_signmap(spec, 2.5))
-        b = signmap_csv_text(grid_signmap(spec, 2.5))
+        a = "".join(iter_signmap_csv(grid_signmap(spec, 2.5)))
+        b = "".join(iter_signmap_csv(grid_signmap(spec, 2.5)))
         assert a == b
-        pa = signmap_pgm_text(grid_signmap(spec, 2.5))
-        pb = signmap_pgm_text(grid_signmap(spec, 2.5))
+        pa = "".join(iter_signmap_pgm(grid_signmap(spec, 2.5)))
+        pb = "".join(iter_signmap_pgm(grid_signmap(spec, 2.5)))
         assert pa == pb
 
 
@@ -306,10 +306,10 @@ class TestGoldenSnapshot:
         return grid_signmap(spec, 1.0)
 
     def test_csv_golden(self):
-        assert signmap_csv_text(self._map()) == self.GOLDEN_CSV
+        assert "".join(iter_signmap_csv(self._map())) == self.GOLDEN_CSV
 
     def test_pgm_golden(self):
-        assert signmap_pgm_text(self._map()) == self.GOLDEN_PGM
+        assert "".join(iter_signmap_pgm(self._map())) == self.GOLDEN_PGM
 
 
 class TestBoundBridge:
