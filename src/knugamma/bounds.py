@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .beta import log_beta_knu
-from .errors import DomainWindow, PoleHit
+from .errors import DomainWindow, Overflow, PoleHit
 from .gamma import log_gamma_knu
-from .params import Params
+from .params import _MAX, _MIN_NORMAL, Params
 
 
 def _exp_sat(log_value: float) -> float:
@@ -39,14 +39,25 @@ def chebyshev_beta_bound(p: Params, x: float, y: float) -> Tuple[float, str]:
     Synchronized arguments, (x - c)(y - c) > 0, give an *upper* bound
     (B <= k nu^3/(x y)); asynchronized ones give a lower bound.  On the
     boundary lines x = c or y = c both directions hold with equality
-    (exactly: B(c, y) = nu^2/y = bound).
-    """
+    (exactly: B(c, y) = nu^2/y = bound).  A bound beyond the double
+    range raises ``Overflow``."""
     if not (x > 0.0 and y > 0.0):
         raise PoleHit(f"chebyshev_beta_bound requires x, y > 0, got ({x}, {y})")
-    bound = p.k * p.nu**3 / (x * y)
+    try:
+        num = p.k * p.nu**3
+    except OverflowError:
+        num = math.inf
+    den = x * y
+    if _MIN_NORMAL <= min(num, den) and max(num, den, num / den) <= _MAX:
+        bound = num / den
+    else:  # k nu^3 or x y is not a normal double, or the quotient overflows
+        try:
+            bound = math.exp(math.log(p.k) + 3.0 * math.log(p.nu) - math.log(x) - math.log(y))
+        except OverflowError:
+            raise Overflow(f"chebyshev_beta_bound k nu^3/(x y) overflows at ({x}, {y})") from None
     if x == p.c or y == p.c:
         direction = "equality"
-    elif (x - p.c) * (y - p.c) > 0.0:
+    elif (x > p.c) == (y > p.c):
         direction = "upper"
     else:
         direction = "lower"

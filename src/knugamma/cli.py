@@ -3,12 +3,13 @@ bound reports, and sign-map file generation.
 
 Exit codes: 0 success, 1 check-suite failure, 2 domain or
 configuration error (the typed error name goes to stderr).  All
-commands are deterministic for fixed flags.  Sign maps are computed in
-the calling process and their files written by a pool of forked worker
-processes, one y per job (KNU_THREADS caps the number of processes,
-0 = auto); output is byte-identical whatever the process count.  A
-single y, a platform without the fork start method, or a caller with
-other threads running, runs serially in-process.
+commands are deterministic for fixed flags.  Every y's sign map is
+computed in the calling process before any file is written; the files
+are then written by a pool of forked worker processes, one y per job,
+which recompute the log terms as they stream (KNU_THREADS caps the
+number of processes, 0 = auto).  Output is byte-identical whatever the
+process count.  A single y, a platform without the fork start method,
+or a caller with other threads running, runs serially in-process.
 """
 
 import argparse
@@ -200,18 +201,12 @@ def _fmt_y(y: float) -> str:
     return f"{y:g}"
 
 
-def _worker_count(n_jobs: int, memory_heavy: bool = False) -> int:
-    env = os.environ.get("KNU_THREADS", "0")
+def _worker_count(n_jobs: int) -> int:
     try:
-        cap = int(env)
+        cap = int(os.environ.get("KNU_THREADS", "0"))
     except ValueError:
         cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-        if memory_heavy:
-            # a full-partition map holds ~190 MB of grids per worker
-            cap = min(cap, 2)
-    return max(1, min(cap, n_jobs))
+    return max(1, min(cap if cap > 0 else os.cpu_count() or 1, n_jobs))
 
 
 def _timed(chunks: Iterable[str], stage: str, seconds: Dict[str, float]) -> Iterator[str]:
@@ -243,55 +238,31 @@ def _write_map(sm: SignMap, csv_path: str, pgm_path: str) -> Tuple[List[str], di
 
 def _write_maps(spec: GridSpec, jobs: List[Tuple[float, str, str]], workers: int) -> List[tuple]:
     """(paths, stats) for each (y, csv_path, pgm_path) job, in job
-    order.  Maps are computed here; with more than one worker, the fork
-    start method available and no other thread running, their files are
-    written by a process pool.  At most ``workers + 1`` maps are in
-    flight, so memory does not grow with the number of jobs: one map
-    waits in the pool's queue while each worker writes another, and a
-    worker that finishes starts the next map at once instead of idling
-    until this process has computed and sent it."""
-
-    def compute(y: float):
+    order.  Every y's map is computed here before any file is written,
+    so a y whose log terms overflow leaves no file behind.  Then, with
+    more than one worker, the fork start method available and no other
+    thread running, a process pool writes the files, one y per job;
+    otherwise they are written here."""
+    ys, csv_paths, pgm_paths = zip(*jobs)
+    maps, computed = [], []
+    for y in ys:
         t0 = time.thread_time()
-        sm = grid_signmap(spec, y)
-        return sm, {"y": y, "compute_s": time.thread_time() - t0}
+        maps.append(grid_signmap(spec, y))
+        computed.append({"y": y, "compute_s": time.thread_time() - t0})
+    import multiprocessing
+    import threading
 
-    results = []
-    if workers > 1:
-        import multiprocessing
-        import threading
+    # fork copies only the calling thread: a lock held by another
+    # thread would stay locked in the workers
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        written = list(map(_write_map, maps, csv_paths, pgm_paths))
+    else:
+        import concurrent.futures
 
-        # fork copies only the calling thread: a lock held by another
-        # thread would stay locked in the workers
-        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-            workers = 1
-    if workers == 1:
-        for y, csv_path, pgm_path in jobs:
-            sm, stats = compute(y)
-            paths, job_stats = _write_map(sm, csv_path, pgm_path)
-            results.append((paths, dict(stats, **job_stats)))
-        return results
-
-    import collections
-    import concurrent.futures
-
-    def collect(pending):
-        future, stats = pending.popleft()
-        paths, job_stats = future.result()
-        results.append((paths, dict(stats, **job_stats)))
-
-    context = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-        pending = collections.deque()
-        for y, csv_path, pgm_path in jobs:
-            if len(pending) > workers:
-                collect(pending)
-            sm, stats = compute(y)
-            pending.append((pool.submit(_write_map, sm, csv_path, pgm_path), stats))
-            del sm  # the pool holds it until its job is done
-        while pending:
-            collect(pending)
-    return results
+        context = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+            written = list(pool.map(_write_map, maps, csv_paths, pgm_paths))
+    return [(paths, dict(stats, **job_stats)) for stats, (paths, job_stats) in zip(computed, written)]
 
 
 def _cmd_signmap(args: argparse.Namespace) -> int:
@@ -309,19 +280,18 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
             return 2
     else:
         y_values = PAPER_Y_VALUES
-    mode = "paper" if args.paper_grid else args.mode
-    spec = paper_grid(y_values) if mode == "paper" else desk_grid(y_values)
+    spec = paper_grid(y_values) if args.paper_grid or args.mode == "paper" else desk_grid(y_values)
     jobs = [
         (y, args.out_csv.replace("{y}", _fmt_y(y)), args.out_pgm.replace("{y}", _fmt_y(y)))
         for y in y_values
     ]
-    workers = _worker_count(len(jobs), memory_heavy=(mode == "paper"))
+    workers = _worker_count(len(jobs))
     try:
         results = _write_maps(spec, jobs, workers)
     except OSError as exc:
         sys.stderr.write(f"cannot write output: {exc}\n")
         return 2
-    except ValueError as exc:  # a y whose map overflows; its files are not written
+    except ValueError as exc:  # a y whose map overflows; no file is written
         sys.stderr.write(f"cannot compute sign map: {exc}\n")
         return 2
     for paths, stats in results:
@@ -376,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mode", choices=["desk", "paper"], default="desk")
     ps.add_argument("--paper-grid", action="store_true",
                     help="alias for --mode paper (full reference partition; the 16 default "
-                         "y take about a minute and write 8.7 GB)")
+                         "y take about 40 s on 2 cores and write 8.7 GB)")
     ps.add_argument("--y", help="comma list of y values (default: the reference 16)")
     ps.add_argument("--out-csv", required=True, help="CSV path template containing {y}")
     ps.add_argument("--out-pgm", required=True, help="PGM path template containing {y}")

@@ -143,8 +143,32 @@ class SignMap:
     grid: GridSpec
     y: float
     values: np.ndarray  # int8, shape (len(b_points), len(a_points))
-    ln_a: np.ndarray
-    ln_b: np.ndarray
+
+
+_BLOCK_ROWS = 256  # b rows per block of float temporaries, never the whole matrix
+
+
+def _axis_terms(t: np.ndarray, y: float):
+    """U(t) = (t+1) ln t, V(t) = (t+y+1) ln(t+y), L(t) = ln(t+y+1)."""
+    ty = t + y
+    return (t + 1.0) * np.log(t), (ty + 1.0) * np.log(ty), np.log(ty + 1.0)
+
+
+def _log_blocks(spec: GridSpec, y: float) -> Iterator[tuple]:
+    """``log_bound_terms`` over the matrix, ``_BLOCK_ROWS`` b rows at a
+    time, bit for bit: ln A = ((U_b - U_a) + V_a) - V_b and ln B =
+    y (L_a - L_b) round as its terms do.  ValueError if one is not finite."""
+    a = np.asarray(spec.a_points, dtype=np.float64)
+    b_desc = np.asarray(spec.b_points, dtype=np.float64)[::-1, None]
+    for start in range(0, len(b_desc), _BLOCK_ROWS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_a, v_a, l_a = _axis_terms(a, y)
+            u_b, v_b, l_b = _axis_terms(b_desc[start : start + _BLOCK_ROWS], y)
+            ln_a = ((u_b - u_a) + v_a) - v_b
+            ln_b = y * (l_a - l_b)
+        if not (np.isfinite(ln_a).all() and np.isfinite(ln_b).all()):
+            raise ValueError(f"sign-map log terms are not finite at y={y}")
+        yield ln_a, ln_b
 
 
 def grid_signmap(spec: GridSpec, y: float) -> SignMap:
@@ -154,14 +178,8 @@ def grid_signmap(spec: GridSpec, y: float) -> SignMap:
     finite (y = nan or inf, or a y so large that the terms overflow)."""
     if y not in spec.y_values:
         raise ValueError(f"y={y} is not one of the grid's y_values")
-    a_row = np.asarray(spec.a_points, dtype=np.float64)
-    b_col = np.asarray(spec.b_points, dtype=np.float64)[::-1]  # descending
-    aa, bb = np.meshgrid(a_row, b_col)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ln_a, ln_b = log_bound_terms(aa, bb, y)
-    if not (np.isfinite(ln_a).all() and np.isfinite(ln_b).all()):
-        raise ValueError(f"sign-map log terms are not finite at y={y}")
-    return SignMap(grid=spec, y=y, values=_ternary(ln_a, ln_b), ln_a=ln_a, ln_b=ln_b)
+    values = np.concatenate([_ternary(ln_a, ln_b) for ln_a, ln_b in _log_blocks(spec, y)])
+    return SignMap(grid=spec, y=y, values=values)
 
 
 # ----------------------------------------------------------------------
@@ -188,10 +206,10 @@ def _repr_row(row: np.ndarray) -> list:
 def iter_signmap_csv(sm: SignMap) -> Iterator[str]:
     """CSV chunks: header a,b,y,lnA,lnB,F, one row per cell, b
     descending then a ascending (same order as the matrix).  Yields one
-    chunk per matrix row so paper-scale maps stream in bounded memory.
-    Floats are written exactly as ``repr`` writes them; the a column,
-    the per-row ``b,y`` text and the F text are formatted once, not
-    per cell."""
+    chunk per matrix row, recomputing lnA/lnB a block of rows at a time,
+    so paper-scale maps stream in bounded memory.  Floats are written
+    exactly as ``repr`` writes them; the a column, the per-row ``b,y``
+    text and the F text are formatted once, not per cell."""
     a_txt = [repr(a) for a in np.asarray(sm.grid.a_points, dtype=np.float64).tolist()]
     b_col = np.asarray(sm.grid.b_points, dtype=np.float64)[::-1].tolist()
     y_txt = repr(float(sm.y))
@@ -201,8 +219,9 @@ def iter_signmap_csv(sm: SignMap) -> Iterator[str]:
     # a  ,b,y,  lnA  ,  lnB  ,F\n
     tokens = [","] * (6 * n)
     tokens[0::6] = a_txt
+    rows = (row for block in _log_blocks(sm.grid, sm.y) for row in zip(*block))
     yield "a,b,y,lnA,lnB,F\n"
-    for b, row_a, row_b, row_f in zip(b_col, sm.ln_a, sm.ln_b, sm.values + 1):
+    for b, (row_a, row_b), row_f in zip(b_col, rows, sm.values + 1):
         tokens[1::6] = [f",{b!r},{y_txt},"] * n
         tokens[2::6] = _repr_row(row_a)
         tokens[4::6] = _repr_row(row_b)

@@ -233,7 +233,7 @@ class TestSignmapCommand:
             assert all(r[k] >= 0.0 for k in ("compute_s", "csv_s", "pgm_s", "write_s"))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("y", ["nan", "inf", "1e308"])
+    @pytest.mark.parametrize("y", ["nan", "inf", "1e308", "1,1e308"])
     def test_non_finite_or_overflowing_y_exit_2(self, capsys, tmp_path, y):
         code, out, err = run_cli(
             capsys,

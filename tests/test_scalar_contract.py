@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knugamma import Params, hurwitz_knu, ratio_bounds, scalar, zeta_knu
+from knugamma import Params, chebyshev_beta_bound, hurwitz_knu, ratio_bounds, scalar, zeta_knu
 from knugamma.errors import (
     DomainWindow,
     NonPositiveArgument,
@@ -205,3 +205,39 @@ def test_hurwitz_knu_beyond_the_product(p, x, s):
         sc = mpmath.mpf(s) / mpmath.mpf(p.c)
         want = mpmath.power(mpmath.mpf(p.c), -sc) * mpmath.zeta(sc, mpmath.mpf(x) / mpmath.mpf(p.c))
         assert hurwitz_knu(p, x, s) == pytest.approx(float(want), rel=1e-13)
+
+
+@CONTRACT
+@given(params_or_error(), ANY_FLOAT, ANY_FLOAT)
+@example(Params(1e-100, 1e-100), 1.3e-200, 1.7e-200)
+@example(Params(1e154, 1e154), 1.0, 1.0)
+@example(Params(1.0, 1.0), 5e-324, 5e-324)
+def test_chebyshev_beta_bound(p, x, y):
+    if p is not None:
+        _finite_or_typed(lambda *args: chebyshev_beta_bound(*args)[0], p, x, y)
+
+
+@pytest.mark.parametrize(
+    "p,x,y,direction",
+    [
+        (Params(1e-100, 1e-100), 1.3e-200, 1.7e-200, "upper"),  # x y underflows to 0
+        (Params(1e-100, 1e-100), 1e-160, 3e-170, "upper"),  # x y is subnormal
+        (Params(1e50, 1e50), 1e300, 1e10, "lower"),  # x y overflows
+        (Params(1e154, 1e154), 1e300, 1e300, "upper"),  # nu^3 overflows
+    ],
+)
+def test_chebyshev_beta_bound_beyond_the_product(p, x, y, direction):
+    """Where k nu^3 or x y is not a normal double, the log-space bound
+    agrees with a 40-digit reference."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        want = mpmath.mpf(p.k) * mpmath.mpf(p.nu) ** 3 / (mpmath.mpf(x) * mpmath.mpf(y))
+    bound, got_direction = chebyshev_beta_bound(p, x, y)
+    assert bound == pytest.approx(float(want), rel=1e-13, abs=0.0)
+    assert got_direction == direction
+
+
+def test_chebyshev_beta_bound_overflow():
+    with pytest.raises(Overflow):
+        chebyshev_beta_bound(Params(1e154, 1e154), 1e-300, 1e-300)

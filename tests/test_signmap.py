@@ -1,10 +1,14 @@
 """Sign maps: cellwise values, grid construction, matrix layout, and
 the text serializations."""
 
+import hashlib
+import itertools
+import json
 import math
 import os
 import stat
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,9 @@ from hypothesis import strategies as st
 
 from knugamma.signmap import (
     PAPER_Y_VALUES,
+    _BLOCK_ROWS,
     GridSpec,
+    _log_blocks,
     _repr_row,
     desk_grid,
     grid_signmap,
@@ -352,3 +358,40 @@ class TestPaperMode:
         assert np.all(sm.values[n - 1 - idx, idx] == 0)
         # spot-check the worked cells
         assert sm.values[n - 1 - 90, 190] == sign_F(spec.a_points[190], spec.a_points[90], 1.0)
+
+    def test_paper_map_20_digests(self):
+        # the full-partition y = 20 CSV and PGM, hashed as they stream,
+        # against the digests the benchmark checks its files with
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+        want = json.loads(golden.read_text())["paper"]
+        sm = grid_signmap(paper_grid((20.0,)), 20.0)
+        for name, chunks in (("map_20.csv", iter_signmap_csv(sm)), ("map_20.pgm", iter_signmap_pgm(sm))):
+            digest = hashlib.sha256()
+            for chunk in chunks:
+                digest.update(chunk.encode("ascii"))
+            assert digest.hexdigest() == want[name], name
+
+
+class TestLogBlocks:
+    """The per-axis block path is ``log_bound_terms`` on the meshgrid,
+    byte for byte."""
+
+    @staticmethod
+    def _assert_bit_identical(spec, y, n_blocks=None):
+        blocks = list(itertools.islice(_log_blocks(spec, y), n_blocks))
+        ln_a = np.concatenate([blk[0] for blk in blocks])
+        ln_b = np.concatenate([blk[1] for blk in blocks])
+        b_desc = np.asarray(spec.b_points)[::-1][: len(ln_a)]
+        aa, bb = np.meshgrid(np.asarray(spec.a_points), b_desc)
+        want_a, want_b = log_bound_terms(aa, bb, y)
+        assert ln_a.tobytes() == want_a.tobytes()
+        assert ln_b.tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize("y", PAPER_Y_VALUES)
+    def test_desk_grid(self, y):
+        self._assert_bit_identical(desk_grid(y_values=(y,)), y)
+
+    @pytest.mark.parametrize("y", [20.0, 0.1])
+    def test_paper_slice(self, y):
+        # the first blocks covering at least 300 b rows of the partition
+        self._assert_bit_identical(paper_grid((y,)), y, n_blocks=-(-300 // _BLOCK_ROWS))
