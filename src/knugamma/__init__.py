@@ -3,7 +3,14 @@
 Public surface: the parameter pair, the deformed Gamma/Beta/Psi/Zeta
 fast paths, independent oracle evaluators, bound reports, and sign-map
 generation.  See the README for the CLI.
+
+Importing the package does not load numpy: the sign-map names and the
+``signmap``, ``checks`` and ``cli`` submodules are imported on first
+access (PEP 562), so a caller of the scalar functions never pays for
+the array code.
 """
+
+import importlib
 
 from .beta import beta_knu, log_beta_knu
 from .bounds import (
@@ -35,15 +42,6 @@ from .oracle import EvalControl, OracleResult, oracle_eval
 from .params import Params
 from .psi import PdeResiduals, pde_residuals, polygamma_knu, psi_knu, psi_shift_sum
 from .scalar import EULER_GAMMA, digamma, hurwitz_zeta, ln_gamma, polygamma, riemann_zeta
-from .signmap import (
-    GridSpec,
-    PAPER_Y_VALUES,
-    SignMap,
-    desk_grid,
-    grid_signmap,
-    paper_grid,
-    sign_F,
-)
 from .zeta import hurwitz_knu, zeta_knu
 
 __version__ = "0.1.0"
@@ -95,3 +93,16 @@ __all__ = [
     "paper_grid",
     "desk_grid",
 ]
+
+_SIGNMAP_NAMES = frozenset(
+    {"GridSpec", "PAPER_Y_VALUES", "SignMap", "desk_grid", "grid_signmap", "paper_grid", "sign_F"}
+)
+_LAZY_SUBMODULES = frozenset({"signmap", "checks", "cli"})
+
+
+def __getattr__(name):
+    if name in _SIGNMAP_NAMES:
+        return getattr(importlib.import_module(".signmap", __name__), name)
+    if name in _LAZY_SUBMODULES:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,10 @@ It also turns a ``ValueError`` (a ``ScalarDomainError`` or a math
 domain error) or an ``ArithmeticError`` raised inside a check into that
 check's failure (``max_dev`` inf, the points counted so far, the error
 kind as note), so the rest of the suite runs.
+
+numpy and the sign-map module are imported only inside the two checks
+that use them, so importing this module (the CLI does, for the suite
+names) loads neither.
 """
 
 import functools
@@ -26,8 +30,6 @@ import math
 from dataclasses import dataclass
 from itertools import chain, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import scalar
 from .beta import beta_knu, log_beta_knu
@@ -48,7 +50,6 @@ from .gamma import (
 from .oracle import EvalControl, oracle_eval
 from .params import Params
 from .psi import pde_residuals, polygamma_knu, psi_knu, psi_shift_sum
-from .signmap import sign_F
 from .zeta import hurwitz_knu, zeta_knu
 
 __all__ = ["CheckResult", "run_suite", "SUITES", "GRID_KNU", "GRID_X"]
@@ -285,31 +286,37 @@ def check_beta_product_truncation(g: _Grid, t: _Tally) -> None:
     # cell: 1e-3 where x y/c^2 is moderate, ~6e-3 at the grid corner.
     # The check normalizes each cell by its O(1/N) envelope (factor-2
     # slack), which is what the identity actually promises.
+    import numpy as np
+
     n_factors = 100_000
     j = np.arange(1, n_factors + 1, dtype=np.float64)
     xs = g.xs
     # log1p(x/(j c)) once per x and log1p((x+y)/(j c)) once per unordered
     # pair, into buffers allocated once; each ordered cell still sums its
     # own elementwise L_xy - L_x - L_y, as a direct evaluation would.
+    # The table depends only on c, so (k, nu) and (nu, k) share it.
     inv_jc = np.empty(n_factors)
     log_x = np.empty((len(xs), n_factors))
     log_xy = np.empty(n_factors)
     diff = np.empty(n_factors)
-    log_prod = [[0.0] * len(xs) for _ in xs]
+    tables: Dict[float, List[List[float]]] = {}
     for p in g.params:
-        np.multiply(j, p.c, out=inv_jc)
-        np.divide(1.0, inv_jc, out=inv_jc)
-        for a, x in enumerate(xs):
-            np.multiply(x, inv_jc, out=log_x[a])
-            np.log1p(log_x[a], out=log_x[a])
-        for a, x in enumerate(xs):
-            for b in range(a, len(xs)):
-                np.multiply(x + xs[b], inv_jc, out=log_xy)
-                np.log1p(log_xy, out=log_xy)
-                for first, second in {(a, b), (b, a)}:
-                    np.subtract(log_xy, log_x[first], out=diff)
-                    np.subtract(diff, log_x[second], out=diff)
-                    log_prod[first][second] = float(diff.sum())
+        log_prod = tables.get(p.c)
+        if log_prod is None:
+            log_prod = tables[p.c] = [[0.0] * len(xs) for _ in xs]
+            np.multiply(j, p.c, out=inv_jc)
+            np.divide(1.0, inv_jc, out=inv_jc)
+            for a, x in enumerate(xs):
+                np.multiply(x, inv_jc, out=log_x[a])
+                np.log1p(log_x[a], out=log_x[a])
+            for a, x in enumerate(xs):
+                for b in range(a, len(xs)):
+                    np.multiply(x + xs[b], inv_jc, out=log_xy)
+                    np.log1p(log_xy, out=log_xy)
+                    for first, second in {(a, b), (b, a)}:
+                        np.subtract(log_xy, log_x[first], out=diff)
+                        np.subtract(diff, log_x[second], out=diff)
+                        log_prod[first][second] = float(diff.sum())
         for a, x in enumerate(xs):
             for b, y in enumerate(xs):
                 approx = (x + y) / (x * y) * p.nu**2 * math.exp(log_prod[a][b])
@@ -714,6 +721,10 @@ def check_power_ratio_reversed(g: _Grid, t: _Tally) -> None:
 @_register("inequalities", "sign-F-antisymmetry", 0.0)
 def check_sign_antisymmetry(g: _Grid, t: _Tally) -> None:
     # max_dev counts the points where the sign rule fails
+    import numpy as np
+
+    from .signmap import sign_F
+
     rng = np.random.default_rng(20240817)
     for _ in range(200):
         a, b = np.exp(rng.uniform(math.log(0.1), math.log(1001.0), size=2))

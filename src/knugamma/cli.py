@@ -10,6 +10,11 @@ which recompute the log terms as they stream (KNU_THREADS caps the
 number of processes, 0 = auto).  Output is byte-identical whatever the
 process count.  A single y, a platform without the fork start method,
 or a caller with other threads running, runs serially in-process.
+
+numpy and the sign-map module are imported by the commands that use
+them (``signmap``, ``check``, and the ``gamma-limit``/``recip-product``
+oracle targets of ``eval``), not at start-up, so ``eval`` and ``bounds``
+start without them.
 """
 
 import argparse
@@ -18,7 +23,7 @@ import math
 import os
 import sys
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import checks
 from .beta import beta_knu, log_beta_knu
@@ -28,18 +33,10 @@ from .gamma import gamma_knu
 from .oracle import ORACLE_TARGETS, EvalControl, oracle_eval
 from .params import Params
 from .psi import polygamma_knu, psi_knu
-from .signmap import (
-    PAPER_Y_VALUES,
-    GridSpec,
-    SignMap,
-    desk_grid,
-    grid_signmap,
-    iter_signmap_csv,
-    iter_signmap_pgm,
-    paper_grid,
-    write_atomic,
-)
 from .zeta import hurwitz_knu, zeta_knu
+
+if TYPE_CHECKING:
+    from .signmap import GridSpec, SignMap
 
 
 def _num(v: float) -> str:
@@ -222,11 +219,13 @@ def _timed(chunks: Iterable[str], stage: str, seconds: Dict[str, float]) -> Iter
         yield chunk
 
 
-def _write_map(sm: SignMap, csv_path: str, pgm_path: str) -> Tuple[List[str], dict]:
+def _write_map(sm: "SignMap", csv_path: str, pgm_path: str) -> Tuple[List[str], dict]:
     """Write one y's CSV and PGM; runs in a pool worker or inline.
     Returns the two paths and the job's stats: thread-CPU seconds of
     CSV formatting, PGM formatting and the rest of the writing, the
     cell count and the file sizes."""
+    from .signmap import iter_signmap_csv, iter_signmap_pgm, write_atomic
+
     seconds = {"csv_s": 0.0, "pgm_s": 0.0}
     t0 = time.thread_time()
     csv_bytes = write_atomic(csv_path, _timed(iter_signmap_csv(sm), "csv_s", seconds))
@@ -236,13 +235,15 @@ def _write_map(sm: SignMap, csv_path: str, pgm_path: str) -> Tuple[List[str], di
     return [csv_path, pgm_path], stats
 
 
-def _write_maps(spec: GridSpec, jobs: List[Tuple[float, str, str]], workers: int) -> List[tuple]:
+def _write_maps(spec: "GridSpec", jobs: List[Tuple[float, str, str]], workers: int) -> List[tuple]:
     """(paths, stats) for each (y, csv_path, pgm_path) job, in job
     order.  Every y's map is computed here before any file is written,
     so a y whose log terms overflow leaves no file behind.  Then, with
     more than one worker, the fork start method available and no other
     thread running, a process pool writes the files, one y per job;
     otherwise they are written here."""
+    from .signmap import grid_signmap
+
     ys, csv_paths, pgm_paths = zip(*jobs)
     maps, computed = [], []
     for y in ys:
@@ -266,6 +267,8 @@ def _write_maps(spec: GridSpec, jobs: List[Tuple[float, str, str]], workers: int
 
 
 def _cmd_signmap(args: argparse.Namespace) -> int:
+    from .signmap import PAPER_Y_VALUES, desk_grid, paper_grid
+
     if "{y}" not in args.out_csv or "{y}" not in args.out_pgm:
         sys.stderr.write("--out-csv and --out-pgm must contain the placeholder {y}\n")
         return 2

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .constants import EULER_GAMMA
 from .errors import DivergentSeries, NonPositiveArgument, Overflow, PoleHit
 from .params import Params
@@ -365,7 +363,8 @@ def _sine_integral(x: float, ctrl: EvalControl):
 
 
 # ----------------------------------------------------------------------
-# series / product targets (numpy-vectorized, chunked)
+# series / product targets (numpy-vectorized, chunked); numpy is
+# imported inside them, so the rest of the package never loads it
 
 _CHUNK = 1 << 20
 
@@ -374,6 +373,8 @@ def _limit_log_value(p: Params, x: float, n: int) -> float:
     # ln[ n! c^n (n r)^(u-1) / (x)_{n,c} ]; the per-term form
     # ln(j c / (x + (j-1) c)) keeps partial sums O(ln n), so no
     # catastrophic cancellation against the (u-1) ln(n r) compensation.
+    import numpy as np
+
     c = p.c
     total = 0.0
     j0 = 1
@@ -411,6 +412,8 @@ def _recip_product(p: Params, x: float, n_terms: int, ctrl: EvalControl):
     if n_terms < 1:
         raise ValueError(f"recip product requires n_terms >= 1, got {n_terms}")
     n_terms = min(n_terms, ctrl.max_terms)
+    import numpy as np
+
     c = p.c
     u = x / c
 

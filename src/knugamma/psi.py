@@ -9,9 +9,9 @@ import math
 from dataclasses import dataclass
 
 from . import scalar
-from .errors import PoleHit
+from .errors import Overflow, PoleHit
 from .gamma import log_gamma_knu
-from .params import Params
+from .params import _MAX, _MIN_NORMAL, Params
 
 __all__ = ["PdeResiduals", "psi_knu", "polygamma_knu", "psi_shift_sum", "pde_residuals"]
 
@@ -25,10 +25,28 @@ def psi_knu(p: Params, x: float) -> float:
 
 def polygamma_knu(p: Params, m: int, x: float) -> float:
     """Psi^(m)_{k,nu}(x) = (-1)^(m+1) m! sum_{n>=0} (x + n c)^-(m+1),
-    for m >= 1, x > 0."""
+    for m >= 1, x > 0.  A result beyond the double range raises
+    ``Overflow``."""
     if not (x > 0.0):
         raise PoleHit(f"polygamma_knu requires x > 0, got x={x}")
-    return scalar.polygamma(m, x / p.c) / p.c ** (m + 1)
+    value = scalar.polygamma(m, x / p.c)
+    try:
+        power = p.c ** (m + 1)
+    except OverflowError:
+        power = math.inf
+    if _MIN_NORMAL <= power <= _MAX:
+        quotient = value / power
+        if abs(quotient) <= _MAX:
+            return quotient
+    # c^(m+1) is not a normal double, or the quotient overflows: divide
+    # the binary mantissas and subtract the exponents, which keeps the
+    # few-ulp accuracy an exp/log round trip would lose at |ln| ~ 700
+    v_mant, v_exp = math.frexp(value)
+    c_mant, c_exp = math.frexp(p.c)
+    try:
+        return math.ldexp(v_mant / c_mant ** (m + 1), v_exp - c_exp * (m + 1))
+    except OverflowError:
+        raise Overflow(f"polygamma_knu({m}, {x}) exceeds double range at c={p.c}") from None
 
 
 def psi_shift_sum(p: Params, x: float, n: int) -> float:

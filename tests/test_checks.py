@@ -152,8 +152,13 @@ def _beta_product_truncation_direct(g):
 
 
 def test_beta_product_truncation_matches_direct_loop():
-    # a repeated x exercises the shared (x, y)/(y, x) buffers
-    g = checks._Grid([Params(0.5, 2.0), Params(3.0, 1.0)], (0.4, 2.5, 2.5, 6.0))
-    got = checks.check_beta_product_truncation(g)
-    assert got == _beta_product_truncation_direct(g)
-    assert got.points == 32
+    for pairs, points in (
+        # a repeated x exercises the shared (x, y)/(y, x) buffers
+        (((0.5, 2.0), (3.0, 1.0)), 32),
+        # (0.5, 2), (2, 0.5) and (1, 1) share c = 1, and so one table
+        (((0.5, 2.0), (3.0, 1.0), (2.0, 0.5), (1.0, 1.0)), 64),
+    ):
+        g = checks._Grid([Params(k, nu) for k, nu in pairs], (0.4, 2.5, 2.5, 6.0))
+        got = checks.check_beta_product_truncation(g)
+        assert got == _beta_product_truncation_direct(g)
+        assert got.points == points

@@ -1,4 +1,5 @@
-"""The scalar engine's and the (k, nu) zeta layer's contract over every
+"""The contract of the scalar engine, Params and the (k, nu) zeta,
+polygamma and bound functions tested here, over every
 float64 argument, inf, nan and subnormals included: a finite double or
 a typed ScalarDomainError, never nan, inf, a bare OverflowError or a
 warning."""
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knugamma import Params, chebyshev_beta_bound, hurwitz_knu, ratio_bounds, scalar, zeta_knu
+from knugamma import (
+    Params,
+    chebyshev_beta_bound,
+    hurwitz_knu,
+    polygamma_knu,
+    ratio_bounds,
+    scalar,
+    zeta_knu,
+)
 from knugamma.errors import (
     DomainWindow,
     NonPositiveArgument,
@@ -204,7 +213,7 @@ def test_hurwitz_knu_beyond_the_product(p, x, s):
     with mpmath.workdps(40):
         sc = mpmath.mpf(s) / mpmath.mpf(p.c)
         want = mpmath.power(mpmath.mpf(p.c), -sc) * mpmath.zeta(sc, mpmath.mpf(x) / mpmath.mpf(p.c))
-        assert hurwitz_knu(p, x, s) == pytest.approx(float(want), rel=1e-13)
+        assert hurwitz_knu(p, x, s) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 @CONTRACT
@@ -241,3 +250,57 @@ def test_chebyshev_beta_bound_beyond_the_product(p, x, y, direction):
 def test_chebyshev_beta_bound_overflow():
     with pytest.raises(Overflow):
         chebyshev_beta_bound(Params(1e154, 1e154), 1e-300, 1e-300)
+
+
+@CONTRACT
+@given(params_or_error(), st.integers(1, 200), ANY_FLOAT)
+@example(Params(1e-100, 1e-100), 1, 1e-200)
+@example(Params(2.385e-145, 3.933e-85), 5, math.inf)
+@example(Params(1e100, 1e100), 3, 1e200)
+def test_polygamma_knu(p, m, x):
+    if p is not None:
+        _finite_or_typed(polygamma_knu, p, m, x)
+
+
+@pytest.mark.parametrize(
+    "p,m,x",
+    [
+        (Params(1e-100, 1e-100), 1, 1e-100),  # c^2 underflows to 0
+        (Params(1e-80, 1e-80), 1, 1e-140),  # c^2 is subnormal
+        (Params(1e100, 1e100), 1, 1e50),  # c^2 overflows
+        (Params(1e100, 1e100), 2, 1e100),  # c^3 overflows; a negative result
+        (Params(1e-50, 1e-50), 3, 1e-60),  # c^4 underflows to 0
+    ],
+)
+def test_polygamma_knu_beyond_the_power(p, m, x):
+    """Where c^(m+1) is not a normal double, the result still agrees
+    with a 40-digit reference."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        c = mpmath.mpf(p.c)
+        want = mpmath.polygamma(m, mpmath.mpf(x) / c) / c ** (m + 1)
+    assert polygamma_knu(p, m, x) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "p,m,x",
+    [
+        (Params(2.385e-145, 3.933e-85), 5, math.inf),  # the x -> inf limit
+        (Params(1e100, 1e100), 3, 1e200),  # 6.5e-800 underflows
+    ],
+)
+def test_polygamma_knu_zero(p, m, x):
+    assert polygamma_knu(p, m, x) == 0.0
+
+
+@pytest.mark.parametrize(
+    "p,m,x",
+    [
+        (Params(1e-100, 1e-100), 1, 1e-200),  # 1.6e400
+        (Params(1e-80, 1e-80), 2, 1e-140),  # -1e440
+    ],
+)
+def test_polygamma_knu_overflow(p, m, x):
+    with pytest.raises(Overflow):
+        polygamma_knu(p, m, x)
