@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from . import scalar
-from .errors import Overflow, PoleHit
+from .errors import NonPositiveArgument, Overflow, PoleHit
 from .gamma import log_gamma_knu
 from .params import _MAX, _MIN_NORMAL, Params
 
@@ -26,27 +26,22 @@ def psi_knu(p: Params, x: float) -> float:
 def polygamma_knu(p: Params, m: int, x: float) -> float:
     """Psi^(m)_{k,nu}(x) = (-1)^(m+1) m! sum_{n>=0} (x + n c)^-(m+1),
     for m >= 1, x > 0.  A result beyond the double range raises
-    ``Overflow``."""
+    ``Overflow``; x = inf gives the limit 0."""
     if not (x > 0.0):
         raise PoleHit(f"polygamma_knu requires x > 0, got x={x}")
-    value = scalar.polygamma(m, x / p.c)
+    u = x / p.c
     try:
+        value = scalar.polygamma(m, u)
         power = p.c ** (m + 1)
-    except OverflowError:
-        power = math.inf
-    if _MIN_NORMAL <= power <= _MAX:
-        quotient = value / power
-        if abs(quotient) <= _MAX:
-            return quotient
-    # c^(m+1) is not a normal double, or the quotient overflows: divide
-    # the binary mantissas and subtract the exponents, which keeps the
-    # few-ulp accuracy an exp/log round trip would lose at |ln| ~ 700
-    v_mant, v_exp = math.frexp(value)
-    c_mant, c_exp = math.frexp(p.c)
-    try:
-        return math.ldexp(v_mant / c_mant ** (m + 1), v_exp - c_exp * (m + 1))
-    except OverflowError:
-        raise Overflow(f"polygamma_knu({m}, {x}) exceeds double range at c={p.c}") from None
+    except (NonPositiveArgument, Overflow, OverflowError):  # u underflowed to 0, or a term overflows
+        pass
+    else:
+        # the plain quotient wherever both terms and it are normal doubles
+        if _MIN_NORMAL <= abs(value) and _MIN_NORMAL <= power <= _MAX:
+            quotient = value / power
+            if abs(quotient) <= _MAX:
+                return quotient
+    return scalar._polygamma_scaled(m, x, p.c)
 
 
 def psi_shift_sum(p: Params, x: float, n: int) -> float:

@@ -12,9 +12,12 @@ subclass, for every float argument including inf, nan and subnormals.
 """
 
 import math
+import sys
 
 from .constants import EULER_GAMMA
 from .errors import DivergentSeries, NonPositiveArgument, Overflow
+
+_MIN_NORMAL = sys.float_info.min
 
 __all__ = [
     "EULER_GAMMA",
@@ -170,6 +173,8 @@ def polygamma(m: int, x: float) -> float:
     #                + sum_j B_{2j} (2j+m-1)!/(2j)! z^-(2j+m) ].
     inv = 1.0 / z
     xm = inv**m
+    if xm < _MIN_NORMAL:  # z^-m has lost its low bits
+        return _polygamma_scaled(m, x, 1.0)
     total = fact_m1 * xm + 0.5 * fact_m * xm * inv
     inv2 = inv * inv
     power = xm * inv2
@@ -180,6 +185,58 @@ def polygamma(m: int, x: float) -> float:
     if not math.isfinite(result):
         raise Overflow(f"polygamma({m}, {x}) exceeds double range")
     return result
+
+
+def _polygamma_scaled(m: int, x: float, c: float) -> float:
+    """psi^(m)(u) / c^(m+1) for u = x/c, also where u, psi^(m)(u),
+    c^(m+1) or their quotient leaves the normal doubles.  It is
+    s / (x^e c^(m+1-e)) with s = u^e |psi^(m)(u)|, summed by the
+    engine's recurrence and series with u^e taken into each term:
+    e = m+1 below u = 1 and e = m above keep s between (m-1)! and about
+    2 m! for every u, 0 and inf included, and x^e c^(m+1-e) is formed
+    on binary mantissas and exponents, so nothing over- or underflows
+    before the last step."""
+    fact_m, fact_m1, coeffs = _polygamma_table(m)
+    sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
+    if x == math.inf:
+        return 0.0
+    u = x / c
+    e = m + 1 if u < 1.0 else m
+    # Recurrence terms m! u^e (u+j)^-(m+1) = m! (u/(u+j))^e (u+j)^(e-m-1);
+    # the j = 0 one is m! u^(e-m-1).
+    acc = 0.0
+    z = u
+    if u < _PSI_SHIFT + m:
+        acc = fact_m if e > m else fact_m / u
+        z = u + 1.0
+        while z < _PSI_SHIFT + m:
+            t = (u / z) ** e
+            acc += fact_m * (t if e > m else t / z)
+            z += 1.0
+    # Series: u^e psi^(m)(z) ~ (u/z)^e z^(e-m) [ (m-1)! + m!/(2z)
+    #                                         + sum_j B_2j (2j+m-1)!/(2j)! z^-2j ].
+    inv = 1.0 / z
+    inv2 = inv * inv
+    total = fact_m1 + 0.5 * fact_m * inv
+    power = inv2
+    for coeff in coeffs:
+        total += coeff * power
+        power *= inv2
+    if z != u:
+        total *= (u / z) ** e
+    if e > m:
+        total *= z
+    s_mant, s_exp = math.frexp(acc + total)
+    d_mant, d_exp = math.frexp(x)
+    d_mant, d_exp = d_mant**e, d_exp * e
+    if e == m:
+        c_mant, c_exp = math.frexp(c)
+        d_mant, d_exp = d_mant * c_mant, d_exp + c_exp
+    try:
+        value = math.ldexp(sign * s_mant / d_mant, s_exp - d_exp)
+    except OverflowError:
+        raise Overflow(f"polygamma({m}, {x}/{c}) / {c}^{m + 1} exceeds double range") from None
+    return value if value else 0.0  # an underflow reads 0.0, as the x = inf limit
 
 
 def _em_tail(s: float, base: float) -> float:

@@ -5,6 +5,7 @@ a typed ScalarDomainError, never nan, inf, a bare OverflowError or a
 warning."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -257,9 +258,32 @@ def test_chebyshev_beta_bound_overflow():
 @example(Params(1e-100, 1e-100), 1, 1e-200)
 @example(Params(2.385e-145, 3.933e-85), 5, math.inf)
 @example(Params(1e100, 1e100), 3, 1e200)
+@example(Params(1e-100, 1e-100), 2, 1.0)
+@example(Params(1e50, 1e50), 1, 1e-100)
 def test_polygamma_knu(p, m, x):
     if p is not None:
         _finite_or_typed(polygamma_knu, p, m, x)
+
+
+def _polygamma_knu_reference(p, m, x):
+    import mpmath
+
+    with mpmath.workdps(40):
+        c = mpmath.mpf(p.c)
+        return mpmath.polygamma(m, mpmath.mpf(x) / c) / c ** (m + 1)
+
+
+def _assert_polygamma_knu_matches(p, m, x):
+    """A normal result agrees with the 40-digit reference to 1e-13, a
+    subnormal or zero one to 4 units of the smallest subnormal, and one
+    beyond the double range raises Overflow."""
+    want = _polygamma_knu_reference(p, m, x)
+    if abs(want) > sys.float_info.max * (1 + 1e-12):
+        with pytest.raises(Overflow):
+            polygamma_knu(p, m, x)
+    elif abs(want) < sys.float_info.max * (1 - 1e-12):
+        tiny = 4 * math.ulp(0.0)
+        assert polygamma_knu(p, m, x) == pytest.approx(float(want), rel=1e-13, abs=tiny)
 
 
 @pytest.mark.parametrize(
@@ -270,17 +294,44 @@ def test_polygamma_knu(p, m, x):
         (Params(1e100, 1e100), 1, 1e50),  # c^2 overflows
         (Params(1e100, 1e100), 2, 1e100),  # c^3 overflows; a negative result
         (Params(1e-50, 1e-50), 3, 1e-60),  # c^4 underflows to 0
+        (Params(1e-100, 1e-100), 2, 1.0),  # psi^(2)(1e200) = -1e-400 underflows
+        (Params(1e-80, 1e-80), 3, 1.0),  # psi^(3)(1e160) underflows
+        (Params(1e-80, 1e-80), 2, 1.0),  # psi^(2)(1e160) = -1e-320 is subnormal
+        (Params(1e-100, 1e-100), 1, 1e300),  # x/c overflows to inf
+        (Params(1e50, 1e50), 1, 1e-100),  # psi^(1)(1e-200) = 1e400 overflows
+        (Params(1e125, 1e125), 1, 1e-100),  # x/c underflows to 0
+        (Params(1.0, 1.0), 100, 2000.0),  # 2000^-100 is subnormal in the engine
     ],
 )
 def test_polygamma_knu_beyond_the_power(p, m, x):
-    """Where c^(m+1) is not a normal double, the result still agrees
-    with a 40-digit reference."""
+    """Where c^(m+1), psi^(m)(x/c) or their quotient is not a normal
+    double, a result in the double range still agrees with a 40-digit
+    reference."""
+    assert abs(_polygamma_knu_reference(p, m, x)) < sys.float_info.max
+    _assert_polygamma_knu_matches(p, m, x)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.floats(-150.0, 150.0),
+    st.floats(-150.0, 150.0),
+    st.integers(1, 150),
+    st.floats(-307.0, 308.0),
+)
+def test_polygamma_knu_matches_reference(log_k, log_nu, m, log_x):
+    """(k, nu) over 1e-150..1e150, every order and x over the normal
+    doubles."""
+    _assert_polygamma_knu_matches(Params(10.0**log_k, 10.0**log_nu), m, 10.0**log_x)
+
+
+@pytest.mark.parametrize("m,x", [(100, 2000.0), (150, 3000.0), (30, 1e11), (150, 5.0)])
+def test_polygamma_where_the_series_power_underflows(m, x):
+    """z^-m in the engine's series is subnormal or 0, the result is not."""
     import mpmath
 
     with mpmath.workdps(40):
-        c = mpmath.mpf(p.c)
-        want = mpmath.polygamma(m, mpmath.mpf(x) / c) / c ** (m + 1)
-    assert polygamma_knu(p, m, x) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+        want = mpmath.polygamma(m, x)
+    assert scalar.polygamma(m, x) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
