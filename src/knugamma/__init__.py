@@ -4,10 +4,10 @@ Public surface: the parameter pair, the deformed Gamma/Beta/Psi/Zeta
 fast paths, independent oracle evaluators, bound reports, and sign-map
 generation.  See the README for the CLI.
 
-Importing the package does not load numpy: the sign-map names and the
-``signmap``, ``checks`` and ``cli`` submodules are imported on first
-access (PEP 562), so a caller of the scalar functions never pays for
-the array code.
+Importing the package does not load numpy, the check suites or the
+oracle: the sign-map and oracle names and the ``signmap``, ``oracle``,
+``checks`` and ``cli`` submodules are imported on first access
+(PEP 562), so a caller of the scalar functions never pays for them.
 """
 
 import importlib
@@ -38,7 +38,6 @@ from .gamma import (
     pochhammer,
     stirling_approx,
 )
-from .oracle import EvalControl, OracleResult, oracle_eval
 from .params import Params
 from .psi import PdeResiduals, pde_residuals, polygamma_knu, psi_knu, psi_shift_sum
 from .scalar import EULER_GAMMA, digamma, hurwitz_zeta, ln_gamma, polygamma, riemann_zeta
@@ -94,15 +93,20 @@ __all__ = [
     "desk_grid",
 ]
 
-_SIGNMAP_NAMES = frozenset(
-    {"GridSpec", "PAPER_Y_VALUES", "SignMap", "desk_grid", "grid_signmap", "paper_grid", "sign_F"}
-)
-_LAZY_SUBMODULES = frozenset({"signmap", "checks", "cli"})
+# public name -> the submodule that defines it, imported on first access
+_LAZY_NAMES = {
+    **dict.fromkeys(
+        ("GridSpec", "PAPER_Y_VALUES", "SignMap", "desk_grid", "grid_signmap", "paper_grid", "sign_F"),
+        "signmap",
+    ),
+    **dict.fromkeys(("EvalControl", "OracleResult", "oracle_eval"), "oracle"),
+}
+_LAZY_SUBMODULES = frozenset({"signmap", "oracle", "checks", "cli"})
 
 
 def __getattr__(name):
-    if name in _SIGNMAP_NAMES:
-        return getattr(importlib.import_module(".signmap", __name__), name)
+    if name in _LAZY_NAMES:
+        return getattr(importlib.import_module("." + _LAZY_NAMES[name], __name__), name)
     if name in _LAZY_SUBMODULES:
         return importlib.import_module("." + name, __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

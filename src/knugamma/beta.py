@@ -17,8 +17,13 @@ __all__ = ["log_beta_knu", "beta_knu"]
 
 
 def log_beta_knu(p: Params, x: float, y: float) -> float:
-    """ln B_{k,nu}(x, y) for x, y > 0 (PoleHit below the quadrant)."""
-    return log_gamma_knu(p, x) + log_gamma_knu(p, y) - log_gamma_knu(p, x + y)
+    """ln B_{k,nu}(x, y) for x, y > 0 (PoleHit below the quadrant).
+    Raises ``Overflow`` where a log-Gamma term leaves the double range
+    and takes the sum with it (inf, or inf - inf)."""
+    value = log_gamma_knu(p, x) + log_gamma_knu(p, y) - log_gamma_knu(p, x + y)
+    if not math.isfinite(value):
+        raise Overflow(f"log_beta_knu({x}, {y}) exceeds double range")
+    return value
 
 
 def beta_knu(p: Params, x: float, y: float) -> float:

@@ -101,6 +101,16 @@ class BoundReport:
     actual_ratio: float
 
 
+def _log_ratio(num: float, den: float) -> float:
+    """ln(num/den) for num, den > 0: the log of the quotient where that
+    is a normal double, else the difference of the two logs, so a
+    quotient that underflows or overflows costs no accuracy."""
+    quotient = num / den
+    if _MIN_NORMAL <= quotient <= _MAX:
+        return math.log(quotient)
+    return math.log(num) - math.log(den)
+
+
 def ratio_bounds(p: Params, x1: float, x2: float, y: float) -> BoundReport:
     """The ``BoundReport`` at (x1, x2, y).  Raises ``PoleHit`` for x1
     or y not > 0 (nan included) and ``DomainWindow`` for x2 not > x1."""
@@ -112,12 +122,12 @@ def ratio_bounds(p: Params, x1: float, x2: float, y: float) -> BoundReport:
         raise PoleHit(f"ratio_bounds requires y > 0, got {y}")
     c = p.c
     b = y / c
-    log_front = math.log((x2 + y) / (x1 + y))
-    log_x_ratio = math.log(x1 / x2)
+    log_front = _log_ratio(x2 + y, x1 + y)
+    log_x_ratio = _log_ratio(x1, x2)
 
     log_lower_t1 = log_front + (b + 1.0) * log_x_ratio
-    log_upper_t1 = log_front + log_x_ratio + b * math.log((x1 + y + c) / (x2 + y + c))
-    log_upper_t2 = b * math.log((x1 + y) / (x2 + y))
+    log_upper_t1 = log_front + log_x_ratio + b * _log_ratio(x1 + y + c, x2 + y + c)
+    log_upper_t2 = b * _log_ratio(x1 + y, x2 + y)
 
     a1, a2 = x1 / c, x2 / c
     s1, s2 = (x1 + y) / c, (x2 + y) / c

@@ -11,26 +11,26 @@ number of processes, 0 = auto).  Output is byte-identical whatever the
 process count.  A single y, a platform without the fork start method,
 or a caller with other threads running, runs serially in-process.
 
-numpy and the sign-map module are imported by the commands that use
-them (``signmap``, ``check``, and the ``gamma-limit``/``recip-product``
-oracle targets of ``eval``), not at start-up, so ``eval`` and ``bounds``
-start without them.
+numpy, the sign-map module, the check suites, the oracle and json are
+imported by the commands that use them (``signmap``, ``check``,
+``eval --oracle``, the ``gamma-limit``/``recip-product`` oracle targets
+and ``--format json``), not at start-up, so ``eval`` and ``bounds``
+start without them.  The ``--suite`` and ``--target`` names are read
+from their modules when argparse first consults them.
 """
 
 import argparse
-import json
+import importlib
 import math
 import os
 import sys
 import time
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from . import checks
 from .beta import beta_knu, log_beta_knu
 from .bounds import ratio_bounds
 from .errors import ScalarDomainError
 from .gamma import gamma_knu
-from .oracle import ORACLE_TARGETS, EvalControl, oracle_eval
 from .params import Params
 from .psi import polygamma_knu, psi_knu
 from .zeta import hurwitz_knu, zeta_knu
@@ -43,8 +43,34 @@ def _num(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _json(obj) -> str:
+    import json
+
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_json(obj) + "\n")
+
+
+class _LazyNames:
+    """argparse ``choices`` that are the keys of ``table`` in the
+    knugamma submodule ``module``, which is imported only when argparse
+    consults them (a value to check, help or an error), not when the
+    parser is built.  Give the argument a ``metavar``: argparse
+    formats the choices of an argument without one as it adds it."""
+
+    def __init__(self, module: str, table: str):
+        self.module, self.table = module, table
+
+    def _names(self) -> List[str]:
+        return sorted(getattr(importlib.import_module("." + self.module, __package__), self.table))
+
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
 
 
 # default oracle target per function
@@ -80,6 +106,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if oracle_args is None or any(v is None for v in oracle_args):
             sys.stderr.write(f"missing arguments for oracle target {target}\n")
             return 2
+        from .oracle import EvalControl, oracle_eval
+
         res = oracle_eval(target, p, oracle_args, EvalControl())
         out = {
             "value": res.value,
@@ -125,6 +153,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import checks
+
     knu_values = checks.GRID_KNU
     if args.grid:
         try:
@@ -299,7 +329,7 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
         return 2
     for paths, stats in results:
         if args.stats:
-            sys.stderr.write(json.dumps(stats, sort_keys=True, separators=(",", ":")) + "\n")
+            sys.stderr.write(_json(stats) + "\n")
         for path in paths:
             print(path)
     return 0
@@ -322,15 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--s", type=float, help="Hurwitz exponent argument")
     pe.add_argument("--oracle", action="store_true",
                     help="route through the slow independent evaluator")
-    pe.add_argument("--target", choices=sorted(ORACLE_TARGETS),
-                    help="override the oracle representation")
+    pe.add_argument("--target", choices=_LazyNames("oracle", "ORACLE_TARGETS"), metavar="TARGET",
+                    help="override the oracle representation: %(choices)s")
     pe.add_argument("--n", type=int, default=1_000_000,
                     help="truncation length for limit/product targets")
     pe.add_argument("--format", choices=["text", "json"], default="text")
     pe.set_defaults(func=_cmd_eval)
 
     pc = sub.add_parser("check", help="run a verification suite")
-    pc.add_argument("--suite", required=True, choices=sorted(checks.SUITES))
+    pc.add_argument("--suite", required=True, choices=_LazyNames("checks", "SUITES"),
+                    metavar="SUITE", help="suite to run: %(choices)s")
     pc.add_argument("--tol", type=float, help="override every check tolerance")
     pc.add_argument("--grid", help="comma list of k/nu grid values (default 0.5,1,2,3)")
     pc.add_argument("--format", choices=["text", "json"], default="text")

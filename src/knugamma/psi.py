@@ -17,10 +17,20 @@ __all__ = ["PdeResiduals", "psi_knu", "polygamma_knu", "psi_shift_sum", "pde_res
 
 
 def psi_knu(p: Params, x: float) -> float:
-    """Psi_{k,nu}(x) = d/dx ln Gamma_{k,nu}(x), x > 0."""
+    """Psi_{k,nu}(x) = d/dx ln Gamma_{k,nu}(x), x > 0.  A result beyond
+    the double range raises ``Overflow``."""
     if not (x > 0.0):
         raise PoleHit(f"psi_knu requires x > 0, got x={x}")
-    return (math.log(p.r) + scalar.digamma(x / p.c)) / p.c
+    u = x / p.c
+    try:
+        value = (math.log(p.r) + scalar.digamma(u)) / p.c
+    except (NonPositiveArgument, Overflow):
+        # u underflowed to 0, or psi(u) ~ -1/u overflows: take
+        # psi(u) = psi(1 + u) - 1/u, whose 1/u divided by c is 1/x
+        value = (math.log(p.r) + scalar.digamma(1.0 + u)) / p.c - 1.0 / x
+    if math.isinf(value):
+        raise Overflow(f"psi_knu({p.k}, {p.nu}, {x}) exceeds double range")
+    return value
 
 
 def polygamma_knu(p: Params, m: int, x: float) -> float:

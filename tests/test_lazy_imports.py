@@ -1,7 +1,9 @@
-"""numpy is loaded only by the code that builds arrays: importing the
-package or the CLI, and the ``knu eval`` and ``knu bounds`` commands,
-leave it (and the sign-map module) unloaded.  The package still
-resolves every public name and submodule on first access."""
+"""numpy, the sign-map module, the check suites and the oracle are
+loaded only by the code that uses them: importing the package or the
+CLI, and the ``knu eval`` and ``knu bounds`` commands, leave them
+unloaded.  The package still resolves every public name and submodule
+on first access, and the CLI still rejects an unknown suite or oracle
+target by name."""
 
 import os
 import subprocess
@@ -10,6 +12,7 @@ import sys
 import pytest
 
 import knugamma
+from knugamma import checks, cli, oracle
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(knugamma.__file__)))
 # The layer modules perfbench's tracer looks up on the package.
@@ -30,7 +33,8 @@ LAYERS = (
     ids=["package", "cli", "eval", "bounds"],
 )
 def test_scalar_paths_load_no_numpy(code):
-    probe = code + "\nimport sys\nprint([m for m in ('numpy', 'knugamma.signmap') if m in sys.modules])"
+    unloaded = ("numpy", "knugamma.signmap", "knugamma.checks", "knugamma.oracle")
+    probe = code + f"\nimport sys\nprint([m for m in {unloaded!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
@@ -42,6 +46,12 @@ def test_scalar_paths_load_no_numpy(code):
 def test_signmap_names_resolve_to_the_module():
     assert knugamma.grid_signmap is knugamma.signmap.grid_signmap
     assert knugamma.PAPER_Y_VALUES is knugamma.signmap.PAPER_Y_VALUES
+
+
+def test_oracle_names_resolve_to_the_module():
+    assert knugamma.oracle_eval is knugamma.oracle.oracle_eval
+    assert knugamma.EvalControl is knugamma.oracle.EvalControl
+    assert knugamma.OracleResult is knugamma.oracle.OracleResult
 
 
 def test_star_import_binds_all():
@@ -59,3 +69,20 @@ def test_layer_modules_resolve(layer):
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError):
         knugamma.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["check", "--suite", "nope"], checks.SUITES),
+        (["eval", "--fn", "gamma", "--x", "1", "--oracle", "--target", "nope"], oracle.ORACLE_TARGETS),
+    ],
+    ids=["suite", "target"],
+)
+def test_unknown_choice_exits_2_naming_the_choices(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert all(repr(name) in err for name in names)

@@ -2,7 +2,8 @@
 polygamma and bound functions tested here, over every
 float64 argument, inf, nan and subnormals included: a finite double or
 a typed ScalarDomainError, never nan, inf, a bare OverflowError or a
-warning."""
+warning.  Referenced cases pin the psi, beta and ratio-bound points
+where a term leaves the double range."""
 
 import math
 import sys
@@ -13,9 +14,12 @@ from hypothesis import strategies as st
 
 from knugamma import (
     Params,
+    beta_knu,
     chebyshev_beta_bound,
     hurwitz_knu,
+    log_beta_knu,
     polygamma_knu,
+    psi_knu,
     ratio_bounds,
     scalar,
     zeta_knu,
@@ -29,7 +33,13 @@ from knugamma.errors import (
     ScalarDomainError,
 )
 
-pytestmark = pytest.mark.filterwarnings("error")
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    # raised by the hypothesis plugin while it reports a failing example;
+    # as an error it turns the report into a pytest INTERNALERROR.  The
+    # later mark takes precedence.
+    pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
+]
 
 ANY_FLOAT = st.floats()
 CONTRACT = settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -171,6 +181,10 @@ def test_knu_infinite_argument_limits(fn, args, want):
         (zeta_knu, (Params(0.5, 1), math.inf)),
         (zeta_knu, (Params(0.5, 1), 1e5)),
         (hurwitz_knu, (Params(0.5, 1), 0.5, math.inf)),
+        (psi_knu, (Params(1.757e-118, 6.154e76), 5e-324)),  # about -2e323
+        # ln Gamma(y) and ln Gamma(x + y) both overflow: inf - inf
+        (log_beta_knu, (Params(6.566e70, 6.916e-69), 1.255e101, 1e308)),
+        (beta_knu, (Params(6.566e70, 6.916e-69), 1.255e101, 1e308)),
     ],
 )
 def test_knu_overflow(fn, args):
@@ -194,6 +208,57 @@ def test_knu_overflow(fn, args):
 def test_ratio_bounds_typed_errors(x1, x2, y, error):
     with pytest.raises(error):
         ratio_bounds(Params(1, 1), x1, x2, y)
+
+
+@pytest.mark.parametrize(
+    "p,x",
+    [
+        (Params(1e15, 1e15), 1e-300),  # x/c underflows to 0
+        (Params(1e15, 1e15), 1e-280),  # x/c is subnormal: psi(x/c) overflows
+        (Params(1e10, 1e-9), 1e-308),  # psi(x/c) overflows, x is subnormal
+    ],
+)
+def test_psi_knu_where_x_over_c_underflows(p, x):
+    """psi(u) = psi(1 + u) - 1/u carries the result where psi(x/c)
+    cannot be formed; it agrees with a 40-digit reference."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        c = mpmath.mpf(p.c)
+        want = (mpmath.log(mpmath.mpf(p.r)) + mpmath.digamma(mpmath.mpf(x) / c)) / c
+    assert psi_knu(p, x) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "p,x1,x2,y",
+    [
+        # x1/x2 and (x1+y)/(x2+y) underflow, (x2+y)/(x1+y) overflows
+        (Params(1, 1), 1e-300, 1e300, 1e-300),
+        (Params(1, 1), 1e-200, 1e200, 1e-250),
+        (Params(0.5, 2), 1e-160, 1e160, 1e-170),
+    ],
+)
+def test_ratio_bounds_beyond_the_quotients(p, x1, x2, y):
+    """Where a quotient of the T1/T2 bounds is not a normal double, the
+    difference of the two logs keeps each bound at its 40-digit
+    reference; 1e-12 covers the cancellation of log terms near 1.4e3."""
+    import mpmath
+
+    got = ratio_bounds(p, x1, x2, y)
+    with mpmath.workdps(40):
+        x1, x2, y, c = (mpmath.mpf(v) for v in (x1, x2, y, p.c))
+        ln = mpmath.log
+        b, a1, a2, s1, s2 = y / c, x1 / c, x2 / c, (x1 + y) / c, (x2 + y) / c
+        front, x_ratio = ln((x2 + y) / (x1 + y)), ln(x1 / x2)
+        logs = {
+            "lower_T1": front + (b + 1) * x_ratio,
+            "upper_T1": front + x_ratio + b * ln((x1 + y + c) / (x2 + y + c)),
+            "upper_T2": b * ln((x1 + y) / (x2 + y)),
+            "lower_T31": (a2 - 1) * ln(a2) + (1 - a1) * ln(a1) + (1 - s2) * ln(s2) + (s1 - 1) * ln(s1),
+            "upper_T32": a2 * ln(a2) - a1 * ln(a1) - s2 * ln(s2) + s1 * ln(s1),
+        }
+        want = {name: float(mpmath.exp(v)) for name, v in logs.items()}
+    assert {name: getattr(got, name) for name in want} == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
