@@ -11,17 +11,8 @@ from typing import Optional, Tuple
 
 from .beta import log_beta_knu
 from .errors import DomainWindow, Overflow, PoleHit
-from .gamma import log_gamma_knu
+from .gamma import _exp_sat, log_gamma_knu
 from .params import _MAX, _MIN_NORMAL, Params
-
-
-def _exp_sat(log_value: float) -> float:
-    """exp that saturates to inf instead of raising; a bound that
-    overflows double range is still a (useless but valid) bound."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
 
 __all__ = [
     "BoundReport",
@@ -131,15 +122,10 @@ def ratio_bounds(p: Params, x1: float, x2: float, y: float) -> BoundReport:
 
     a1, a2 = x1 / c, x2 / c
     s1, s2 = (x1 + y) / c, (x2 + y) / c
-    log_lower_t31 = (
-        (a2 - 1.0) * math.log(a2)
-        + (1.0 - a1) * math.log(a1)
-        + (1.0 - s2) * math.log(s2)
-        + (s1 - 1.0) * math.log(s1)
-    )
-    log_upper_t32 = (
-        a2 * math.log(a2) - a1 * math.log(a1) - s2 * math.log(s2) + s1 * math.log(s1)
-    )
+    ln_a1, ln_a2 = _log_ratio(x1, c), _log_ratio(x2, c)
+    ln_s1, ln_s2 = _log_ratio(x1 + y, c), _log_ratio(x2 + y, c)
+    log_lower_t31 = (a2 - 1.0) * ln_a2 + (1.0 - a1) * ln_a1 + (1.0 - s2) * ln_s2 + (s1 - 1.0) * ln_s1
+    log_upper_t32 = a2 * ln_a2 - a1 * ln_a1 - s2 * ln_s2 + s1 * ln_s1
 
     log_actual = log_beta_knu(p, x2, y) - log_beta_knu(p, x1, y)
     return BoundReport(

@@ -73,71 +73,46 @@ class _LazyNames:
         return iter(self._names())
 
 
-# default oracle target per function
-_ORACLE_FOR_FN = {
-    "gamma": "gamma-integral",
-    "beta": "beta-unit-integral",
-    "psi": "psi-integral",
-    "polygamma": "polygamma-integral",
-    "zeta": "zeta-integral",
-    "hurwitz": "hurwitz-integral",
+def _flags(args: argparse.Namespace, names: Tuple[str, ...], who: str) -> Optional[list]:
+    """The values of the ``knu eval`` flags ``names``, or None after
+    writing the first one missing to stderr as a flag ``who`` requires."""
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        sys.stderr.write(f"{who} requires --{names[values.index(None)]}\n")
+        return None
+    return values
+
+
+# --fn name -> (default oracle target, the flags its fast path reads,
+# the fast path); the fast paths look their functions up in this module
+# when called, so a wrapper bound there (perfbench's tracer) is the one run
+_FNS = {
+    "gamma": ("gamma-integral", ("x",), lambda p, x: vars(gamma_knu(p, x))),
+    "beta": ("beta-unit-integral", ("x", "y"),
+             lambda p, x, y: {"value": beta_knu(p, x, y), "log_value": log_beta_knu(p, x, y)}),
+    "psi": ("psi-integral", ("x",), lambda p, x: {"value": psi_knu(p, x)}),
+    "polygamma": ("polygamma-integral", ("m", "x"), lambda p, m, x: {"value": polygamma_knu(p, m, x)}),
+    "zeta": ("zeta-integral", ("x",), lambda p, x: {"value": zeta_knu(p, x)}),
+    "hurwitz": ("hurwitz-integral", ("x", "s"), lambda p, x, s: {"value": hurwitz_knu(p, x, s)}),
 }
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     p = Params(args.k, args.nu)
-    fn = args.fn
-    out = {}
+    target, names, fast_path = _FNS[args.fn]
     if args.oracle:
-        target = args.target or _ORACLE_FOR_FN[fn]
-        oracle_args = {
-            "gamma-integral": [args.x],
-            "gamma-limit": [args.x, args.n],
-            "recip-product": [args.x, args.n],
-            "beta-unit-integral": [args.x, args.y],
-            "beta-scaled-integral": [args.x, args.y],
-            "psi-integral": [args.x],
-            "psi-log-integral": [args.x],
-            "polygamma-integral": [args.m, args.x],
-            "zeta-integral": [args.x],
-            "hurwitz-integral": [args.x, args.s],
-            "sine-integral": [args.x],
-        }.get(target)
-        if oracle_args is None or any(v is None for v in oracle_args):
-            sys.stderr.write(f"missing arguments for oracle target {target}\n")
-            return 2
-        from .oracle import EvalControl, oracle_eval
+        from .oracle import ORACLE_TARGETS, EvalControl, oracle_eval
 
-        res = oracle_eval(target, p, oracle_args, EvalControl())
-        out = {
-            "value": res.value,
-            "err_estimate": res.err_estimate,
-            "effort": res.effort,
-            "converged": res.converged,
-            "target": target,
-        }
-    elif fn == "gamma":
-        gv = gamma_knu(p, args.x)
-        out = {"value": gv.value, "log_value": gv.log_value}
-    elif fn == "beta":
-        if args.y is None:
-            sys.stderr.write("--fn beta requires --y\n")
+        target = args.target or target
+        values = _flags(args, ORACLE_TARGETS[target][1], f"oracle target {target}")
+        if values is None:
             return 2
-        out = {"value": beta_knu(p, args.x, args.y), "log_value": log_beta_knu(p, args.x, args.y)}
-    elif fn == "psi":
-        out = {"value": psi_knu(p, args.x)}
-    elif fn == "polygamma":
-        if args.m is None:
-            sys.stderr.write("--fn polygamma requires --m\n")
+        out = dict(vars(oracle_eval(target, p, values, EvalControl())), target=target)
+    else:
+        values = _flags(args, names, f"--fn {args.fn}")
+        if values is None:
             return 2
-        out = {"value": polygamma_knu(p, args.m, args.x)}
-    elif fn == "zeta":
-        out = {"value": zeta_knu(p, args.x)}
-    else:  # hurwitz
-        if args.s is None:
-            sys.stderr.write("--fn hurwitz requires --s\n")
-            return 2
-        out = {"value": hurwitz_knu(p, args.x, args.s)}
+        out = fast_path(p, *values)
 
     if args.format == "json":
         _emit_json(out)
@@ -167,20 +142,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             return 2
     results = checks.run_suite(args.suite, tol=args.tol, knu_values=knu_values)
     if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "max_dev": r.max_dev,
-                    "tol": r.tol,
-                    "points": r.points,
-                    "skipped": r.skipped,
-                    "note": r.note,
-                }
-                for r in results
-            ]
-        )
+        _emit_json([vars(r) for r in results])
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -200,27 +162,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         sys.stderr.write("bounds requires 0 < x1 < x2\n")
         return 2
     p = Params(args.k, args.nu)
-    r = ratio_bounds(p, args.x1, args.x2, args.y)
-    fields = {
-        "lower_T1": r.lower_T1,
-        "upper_T1": r.upper_T1,
-        "upper_T2": r.upper_T2,
-        "lower_T31": r.lower_T31,
-        "upper_T32": r.upper_T32,
-        "actual_ratio": r.actual_ratio,
-    }
+    fields = vars(ratio_bounds(p, args.x1, args.x2, args.y))
     if args.format == "json":
         _emit_json(fields)
         return 0
     for name, value in fields.items():
         print(f"{name} {_num(value)}")
-    best_lower = max(("lower_T1", r.lower_T1), ("lower_T31", r.lower_T31), key=lambda t: t[1])
-    best_upper = min(
-        ("upper_T1", r.upper_T1), ("upper_T2", r.upper_T2), ("upper_T32", r.upper_T32),
-        key=lambda t: t[1],
-    )
-    print(f"tightest_lower {best_lower[0]}")
-    print(f"tightest_upper {best_upper[0]}")
+    print(f"tightest_lower {max(('lower_T1', 'lower_T31'), key=fields.get)}")
+    print(f"tightest_upper {min(('upper_T1', 'upper_T2', 'upper_T32'), key=fields.get)}")
     return 0
 
 
@@ -343,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one function at a point")
-    pe.add_argument("--fn", required=True, choices=sorted(_ORACLE_FOR_FN))
+    pe.add_argument("--fn", required=True, choices=sorted(_FNS))
     pe.add_argument("--k", type=float, default=1.0)
     pe.add_argument("--nu", type=float, default=1.0)
     pe.add_argument("--x", type=float, required=True)

@@ -160,7 +160,7 @@ def _combine(parts):
 
 
 def _result(value, err, effort, converged, ctrl) -> OracleResult:
-    ok = converged and err <= ctrl.tolerance(value)
+    ok = converged and math.isfinite(value) and math.isfinite(err) and err <= ctrl.tolerance(value)
     return OracleResult(value=value, err_estimate=err, effort=effort, converged=ok)
 
 
@@ -272,6 +272,7 @@ def _psi_log_integral(p: Params, x: float, ctrl: EvalControl):
 
 def _polygamma_integral(p: Params, m: int, x: float, ctrl: EvalControl):
     """Psi^(m)_{k,nu}(x) = (-1)^(m+1) int_0^inf t^m e^-xt/(1-e^-ct) dt."""
+    m = int(m)
     if m < 1:
         raise ValueError(f"polygamma integral requires m >= 1, got {m}")
     if not (x > 0.0):
@@ -342,8 +343,9 @@ def _hurwitz_integral(p: Params, x: float, s: float, ctrl: EvalControl):
     return value, err, num_n + den_n, num_ok and den_ok
 
 
-def _sine_integral(x: float, ctrl: EvalControl):
-    """int_0^1 t^(x-1) (1-t)^(-x) dt = pi/sin(pi x), 0 < x < 1."""
+def _sine_integral(_p: Optional[Params], x: float, ctrl: EvalControl):
+    """int_0^1 t^(x-1) (1-t)^(-x) dt = pi/sin(pi x), 0 < x < 1; no
+    (k, nu), so ``_p`` is ignored."""
     if not (x > 0.0):
         raise NonPositiveArgument(f"sine integral requires x > 0, got {x}")
     if x >= 1.0:
@@ -393,14 +395,12 @@ def _gamma_limit(p: Params, x: float, n: int, ctrl: EvalControl):
     against the half-length truncation (both are O(1/n))."""
     if not (x > 0.0):
         raise PoleHit(f"gamma limit requires x > 0, got {x}")
+    n = int(n)
     if n < 2:
         raise ValueError(f"gamma limit requires n >= 2, got {n}")
     n = min(n, ctrl.max_terms)
-    try:
-        value = math.exp(_limit_log_value(p, x, n))
-        half = math.exp(_limit_log_value(p, x, n // 2))
-    except OverflowError:
-        raise Overflow(f"gamma limit value exceeds double range at x={x}") from None
+    value = math.exp(_limit_log_value(p, x, n))
+    half = math.exp(_limit_log_value(p, x, n // 2))
     err = abs(value - half)
     return value, err, n + n // 2, True
 
@@ -409,6 +409,7 @@ def _recip_product(p: Params, x: float, n_terms: int, ctrl: EvalControl):
     """Truncated Weierstrass-type product for 1/Gamma_{k,nu}(x)."""
     if not (x > 0.0):
         raise PoleHit(f"recip product requires x > 0, got {x}")
+    n_terms = int(n_terms)
     if n_terms < 1:
         raise ValueError(f"recip product requires n_terms >= 1, got {n_terms}")
     n_terms = min(n_terms, ctrl.max_terms)
@@ -437,18 +438,20 @@ def _recip_product(p: Params, x: float, n_terms: int, ctrl: EvalControl):
 
 # ----------------------------------------------------------------------
 
+# target -> (evaluator, argument names); the names give the order of
+# ``oracle_eval``'s ``args`` and are the ``knu eval`` flags that supply them
 ORACLE_TARGETS = {
-    "gamma-integral": 1,
-    "gamma-limit": 2,
-    "beta-unit-integral": 2,
-    "beta-scaled-integral": 2,
-    "psi-integral": 1,
-    "psi-log-integral": 1,
-    "polygamma-integral": 2,
-    "zeta-integral": 1,
-    "hurwitz-integral": 2,
-    "recip-product": 2,
-    "sine-integral": 1,
+    "gamma-integral": (_gamma_integral, ("x",)),
+    "gamma-limit": (_gamma_limit, ("x", "n")),
+    "beta-unit-integral": (_beta_unit_integral, ("x", "y")),
+    "beta-scaled-integral": (_beta_scaled_integral, ("x", "y")),
+    "psi-integral": (_psi_integral, ("x",)),
+    "psi-log-integral": (_psi_log_integral, ("x",)),
+    "polygamma-integral": (_polygamma_integral, ("m", "x")),
+    "zeta-integral": (_zeta_integral, ("x",)),
+    "hurwitz-integral": (_hurwitz_integral, ("x", "s")),
+    "recip-product": (_recip_product, ("x", "n")),
+    "sine-integral": (_sine_integral, ("x",)),
 }
 
 
@@ -458,49 +461,25 @@ def oracle_eval(
     args: Sequence[float],
     ctrl: Optional[EvalControl] = None,
 ) -> OracleResult:
-    """Evaluate one defining representation.
+    """Evaluate one defining representation.  ``args`` are the values
+    of the argument names ``ORACLE_TARGETS[target]`` lists, in that
+    order; ``sine-integral`` is parameter-free and ignores ``p``.
 
-    ``args`` arity per target: gamma-integral [x]; gamma-limit [x, n];
-    beta-unit-integral / beta-scaled-integral [x, y]; psi-integral /
-    psi-log-integral [x]; polygamma-integral [m, x]; zeta-integral [x];
-    hurwitz-integral [x, s]; recip-product [x, n_terms];
-    sine-integral [x] (parameter-free: p is ignored).
-
-    Budget exhaustion is reported through ``converged=False``, never as
-    a silently degraded value.
+    A result that exhausts its budget, or whose value or error estimate
+    is not finite, reads ``converged=False``, never a silently degraded
+    value.  An evaluation beyond the double range raises ``Overflow``.
     """
     if target not in ORACLE_TARGETS:
         raise ValueError(f"unknown oracle target {target!r}")
-    if len(args) != ORACLE_TARGETS[target]:
-        raise ValueError(
-            f"{target} expects {ORACLE_TARGETS[target]} argument(s), got {len(args)}"
-        )
+    evaluate, names = ORACLE_TARGETS[target]
+    if len(args) != len(names):
+        raise ValueError(f"{target} expects {len(names)} argument(s), got {len(args)}")
+    if p is None and evaluate is not _sine_integral:
+        raise ValueError(f"{target} requires Params")
     if ctrl is None:
         ctrl = EvalControl()
-    if target != "sine-integral" and p is None:
-        raise ValueError(f"{target} requires Params")
-
-    if target == "gamma-integral":
-        out = _gamma_integral(p, args[0], ctrl)
-    elif target == "gamma-limit":
-        out = _gamma_limit(p, args[0], int(args[1]), ctrl)
-    elif target == "beta-unit-integral":
-        out = _beta_unit_integral(p, args[0], args[1], ctrl)
-    elif target == "beta-scaled-integral":
-        out = _beta_scaled_integral(p, args[0], args[1], ctrl)
-    elif target == "psi-integral":
-        out = _psi_integral(p, args[0], ctrl)
-    elif target == "psi-log-integral":
-        out = _psi_log_integral(p, args[0], ctrl)
-    elif target == "polygamma-integral":
-        out = _polygamma_integral(p, int(args[0]), args[1], ctrl)
-    elif target == "zeta-integral":
-        out = _zeta_integral(p, args[0], ctrl)
-    elif target == "hurwitz-integral":
-        out = _hurwitz_integral(p, args[0], args[1], ctrl)
-    elif target == "recip-product":
-        out = _recip_product(p, args[0], int(args[1]), ctrl)
-    else:  # sine-integral
-        out = _sine_integral(args[0], ctrl)
-
+    try:
+        out = evaluate(p, *args, ctrl)
+    except OverflowError:
+        raise Overflow(f"{target} exceeds double range at {list(args)}") from None
     return _result(*out, ctrl)

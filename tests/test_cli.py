@@ -10,7 +10,9 @@ import sys
 import pytest
 
 import knugamma
-from knugamma.cli import main
+from knugamma import Params, oracle_eval
+from knugamma.cli import _FNS, build_parser, main
+from knugamma.oracle import ORACLE_TARGETS
 
 
 def run_cli(capsys, argv):
@@ -74,6 +76,50 @@ class TestEval:
         code, _, err = run_cli(capsys, ["eval", "--fn", "beta", "--x", "1"])
         assert code == 2
         assert "--y" in err
+
+    def test_oracle_overflow_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, ["eval", "--fn", "gamma", "--x", "170", "--oracle"])
+        assert (code, out, err) == (2, "", "Overflow\n")
+
+
+# one value per flag an oracle target can name, inside every target's
+# domain at (k, nu) = (0.5, 1)
+ORACLE_FLAGS = {"x": "0.6", "y": "1.3", "m": "2", "s": "1.5", "n": "4096"}
+
+
+class TestOracleTargets:
+    @pytest.mark.parametrize("target", sorted(ORACLE_TARGETS))
+    def test_json_equals_oracle_eval(self, capsys, target):
+        names = ORACLE_TARGETS[target][1]
+        argv = ["eval", "--fn", "gamma", "--k", "0.5", "--oracle", "--target", target, "--format", "json"]
+        for name, value in ORACLE_FLAGS.items():
+            argv += ["--" + name, value]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        values = [(int if name in ("m", "n") else float)(ORACLE_FLAGS[name]) for name in names]
+        want = dict(vars(oracle_eval(target, Params(0.5, 1), values)), target=target)
+        assert json.loads(out) == want
+
+    @pytest.mark.parametrize(
+        "target,flag",
+        [(t, name) for t in sorted(ORACLE_TARGETS) for name in ORACLE_TARGETS[t][1] if name in ("y", "m", "s")],
+    )
+    def test_missing_flag_exit_2(self, capsys, target, flag):
+        argv = ["eval", "--fn", "gamma", "--k", "0.5", "--oracle", "--target", target]
+        for name, value in ORACLE_FLAGS.items():
+            if name != flag:
+                argv += ["--" + name, value]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"oracle target {target} requires --{flag}\n"
+
+    def test_table_names_are_eval_flags(self):
+        dests = set(vars(build_parser().parse_args(["eval", "--fn", "gamma", "--x", "1"])))
+        for _, names in ORACLE_TARGETS.values():
+            assert set(names) <= dests
+        for target, names, _ in _FNS.values():
+            assert target in ORACLE_TARGETS
+            assert set(names) <= dests
 
 
 class TestCheck:

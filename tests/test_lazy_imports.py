@@ -1,4 +1,4 @@
-"""numpy, the sign-map module, the check suites and the oracle are
+"""numpy, json, the sign-map module, the check suites and the oracle are
 loaded only by the code that uses them: importing the package or the
 CLI, and the ``knu eval`` and ``knu bounds`` commands, leave them
 unloaded.  The package still resolves every public name and submodule
@@ -33,7 +33,7 @@ LAYERS = (
     ids=["package", "cli", "eval", "bounds"],
 )
 def test_scalar_paths_load_no_numpy(code):
-    unloaded = ("numpy", "knugamma.signmap", "knugamma.checks", "knugamma.oracle")
+    unloaded = ("numpy", "json", "knugamma.signmap", "knugamma.checks", "knugamma.oracle")
     probe = code + f"\nimport sys\nprint([m for m in {unloaded!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(

@@ -8,6 +8,7 @@ import pytest
 from knugamma import (
     DivergentSeries,
     EvalControl,
+    Overflow,
     Params,
     PoleHit,
     beta_knu,
@@ -55,6 +56,23 @@ class TestControls:
     def test_arity_checked(self):
         with pytest.raises(ValueError):
             oracle_eval("gamma-integral", Params(1, 1), [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "target,args", [("zeta-integral", [1.01]), ("hurwitz-integral", [0.5, 1.01])]
+    )
+    def test_non_finite_result_is_not_converged(self, target, args):
+        # the Bose integral near its abscissa of convergence reads inf
+        res = oracle_eval(target, Params(1, 1), args)
+        assert not math.isfinite(res.value) or not math.isfinite(res.err_estimate)
+        assert not res.converged
+
+    @pytest.mark.parametrize(
+        "target,args",
+        [("gamma-integral", [170.0]), ("beta-unit-integral", [0.01, 1.0]), ("gamma-limit", [400.0, 1000])],
+    )
+    def test_overflow_is_typed(self, target, args):
+        with pytest.raises(Overflow):
+            oracle_eval(target, Params(1, 1), args)
 
 
 class TestGammaTargets:

@@ -1,9 +1,10 @@
 """The contract of the scalar engine, Params and the (k, nu) zeta,
-polygamma and bound functions tested here, over every
+polygamma, psi, Stirling and bound functions tested here, over every
 float64 argument, inf, nan and subnormals included: a finite double or
 a typed ScalarDomainError, never nan, inf, a bare OverflowError or a
-warning.  Referenced cases pin the psi, beta and ratio-bound points
-where a term leaves the double range."""
+warning (the ratio bounds saturate to inf by design, so there only nan
+is ruled out).  Referenced cases pin the psi, beta, Stirling and
+ratio-bound points where a term leaves the double range."""
 
 import math
 import sys
@@ -22,6 +23,7 @@ from knugamma import (
     psi_knu,
     ratio_bounds,
     scalar,
+    stirling_approx,
     zeta_knu,
 )
 from knugamma.errors import (
@@ -210,6 +212,43 @@ def test_ratio_bounds_typed_errors(x1, x2, y, error):
         ratio_bounds(Params(1, 1), x1, x2, y)
 
 
+@CONTRACT
+@given(params_or_error(), ANY_FLOAT)
+@example(Params(1.757e-118, 6.154e76), 5e-324)
+@example(Params(1e15, 1e15), 1e-300)
+@example(Params(1e-150, 1e-150), math.inf)
+def test_psi_knu(p, x):
+    if p is not None:
+        _finite_or_typed(psi_knu, p, x)
+
+
+@CONTRACT
+@given(params_or_error(), ANY_FLOAT)
+@example(Params(1, 1), math.inf)
+@example(Params(3.53e-141, 1.47e72), 8.24e253)
+@example(Params(3.38e139, 9.27e-36), 1e-310)
+@example(Params(1e-160, 1e147), 1e293)
+def test_stirling_approx(p, x):
+    if p is not None:
+        _finite_or_typed(stirling_approx, p, x)
+
+
+@CONTRACT
+@given(params_or_error(), ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+@example(Params(1e100, 1e100), 1e-300, 1.0, 1.0)
+@example(Params(1e100, 1e100), 1e-122, 1.0, 1.0)
+@example(Params(1, 1), 1e-300, 1e300, 1e-300)
+@example(Params(1e-5, 1e-5), 1.0, 2.0, 1e300)
+def test_ratio_bounds(p, x1, x2, y):
+    if p is None:
+        return
+    try:
+        report = ratio_bounds(p, x1, x2, y)
+    except ScalarDomainError:
+        return
+    assert not any(math.isnan(v) for v in vars(report).values()), (p, x1, x2, y, report)
+
+
 @pytest.mark.parametrize(
     "p,x",
     [
@@ -259,6 +298,59 @@ def test_ratio_bounds_beyond_the_quotients(p, x1, x2, y):
         }
         want = {name: float(mpmath.exp(v)) for name, v in logs.items()}
     assert {name: getattr(got, name) for name in want} == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_ratio_bounds_where_x1_over_c_underflows():
+    # ln(x1/c) is taken as ln x1 - ln c; B(x1/c, y/c) has a pole there
+    with pytest.raises(ScalarDomainError):
+        ratio_bounds(Params(1e100, 1e100), 1e-300, 1.0, 1.0)
+
+
+def test_ratio_bounds_where_x1_over_c_is_subnormal():
+    """x1/c = 1e-322 keeps 7 bits; ln x1 - ln c keeps T31 and T32 at
+    their 40-digit references."""
+    import mpmath
+
+    p, x1, x2, y = Params(1e100, 1e100), 1e-122, 1.0, 1.0
+    got = ratio_bounds(p, x1, x2, y)
+    with mpmath.workdps(40):
+        x1, x2, y, c = (mpmath.mpf(v) for v in (x1, x2, y, p.c))
+        a1, a2, s1, s2 = x1 / c, x2 / c, (x1 + y) / c, (x2 + y) / c
+        ln = mpmath.log
+        t31 = (a2 - 1) * ln(a2) + (1 - a1) * ln(a1) + (1 - s2) * ln(s2) + (s1 - 1) * ln(s1)
+        t32 = a2 * ln(a2) - a1 * ln(a1) - s2 * ln(s2) + s1 * ln(s1)
+        want = (float(mpmath.exp(t31)), float(mpmath.exp(t32)))
+    assert (got.lower_T31, got.upper_T32) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "p,x",
+    [
+        (Params(3.38e139, 9.27e-36), 1e-310),  # x/c underflows to 0
+        (Params(1e100, 1e100), 1e-122),  # x/c = 1e-322 is subnormal
+        (Params(1e-160, 1e147), 1e293),  # (u - 1) ln r and (u - 1/2) ln u overflow: 0
+        (Params(2.0, 3.0), 700.0),
+    ],
+)
+def test_stirling_approx_matches_reference(p, x):
+    """The log-space terms agree with a 40-digit reference wherever x/c
+    is below the normal doubles or the terms overflow with opposite
+    signs; 1e-12 covers log terms near 7e2."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        u = mpmath.mpf(x) / mpmath.mpf(p.c)
+        want = mpmath.sqrt(2 * mpmath.pi) * mpmath.mpf(p.r) ** (u - 1) * u ** (u - 0.5) * mpmath.exp(-u)
+    assert stirling_approx(p, x) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "p,x",
+    [(Params(1, 1), math.inf), (Params(3.53e-141, 1.47e72), 8.24e253), (Params(1, 1), 1e306)],
+)
+def test_stirling_approx_overflow(p, x):
+    with pytest.raises(Overflow):
+        stirling_approx(p, x)
 
 
 @pytest.mark.parametrize(
