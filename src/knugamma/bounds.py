@@ -12,7 +12,8 @@ from typing import Optional, Tuple
 from .beta import log_beta_knu
 from .errors import DomainWindow, Overflow, PoleHit
 from .gamma import _exp_sat, log_gamma_knu
-from .params import _MAX, _MIN_NORMAL, Params
+from .constants import _MAX, _MIN_NORMAL
+from .params import Params
 
 __all__ = [
     "BoundReport",

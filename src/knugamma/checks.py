@@ -726,16 +726,14 @@ def check_sign_antisymmetry(g: _Grid, t: _Tally) -> None:
     from .signmap import sign_F
 
     rng = np.random.default_rng(20240817)
-    for _ in range(200):
-        a, b = np.exp(rng.uniform(math.log(0.1), math.log(1001.0), size=2))
-        y = float(rng.uniform(0.1, 20.0))
-        if sign_F(float(a), float(b), y) != -sign_F(float(b), float(a), y):
-            t.dev += 1.0
-        t.points += 1
-    for v in (0.3, 5.0, 40.0, 800.0):
-        if sign_F(v, v, 1.0) != 0:
-            t.dev += 1.0
-        t.points += 1
+    a, b, y = np.empty(200), np.empty(200), np.empty(200)
+    for i in range(200):
+        a[i], b[i] = np.exp(rng.uniform(math.log(0.1), math.log(1001.0), size=2))
+        y[i] = rng.uniform(0.1, 20.0)
+    diag = np.array([0.3, 5.0, 40.0, 800.0])
+    t.dev += float(np.count_nonzero(sign_F(a, b, y) != -sign_F(b, a, y)))
+    t.dev += float(np.count_nonzero(sign_F(diag, diag, 1.0)))
+    t.points += len(a) + len(diag)
 
 
 @_register("inequalities", "stirling-error-decay", _INEQ_EPS)

@@ -262,7 +262,7 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
             return 2
     else:
         y_values = PAPER_Y_VALUES
-    spec = paper_grid(y_values) if args.paper_grid or args.mode == "paper" else desk_grid(y_values)
+    spec = paper_grid() if args.paper_grid or args.mode == "paper" else desk_grid()
     jobs = [
         (y, args.out_csv.replace("{y}", _fmt_y(y)), args.out_pgm.replace("{y}", _fmt_y(y)))
         for y in y_values

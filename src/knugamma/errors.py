@@ -49,6 +49,8 @@ class ParameterRange(ScalarDomainError):
 
 
 class DomainWindow(ScalarDomainError):
-    """Argument outside the window on which a bound is valid."""
+    """Argument outside the window on which a bound is valid, or an
+    order or truncation length below its minimum (polygamma order
+    m < 1, a limit or product truncated too short)."""
 
     kind = "DomainWindow"

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from . import scalar
 from .errors import Overflow, PoleHit
-from .params import _MAX, _MIN_NORMAL, Params
+from .constants import _MAX, _MIN_NORMAL
+from .params import Params
 
 __all__ = [
     "GammaValue",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .constants import EULER_GAMMA
-from .errors import DivergentSeries, NonPositiveArgument, Overflow, PoleHit
+from .errors import DivergentSeries, DomainWindow, NonPositiveArgument, Overflow, PoleHit
 from .params import Params
 
 __all__ = ["EvalControl", "OracleResult", "oracle_eval", "ORACLE_TARGETS"]
@@ -274,7 +274,7 @@ def _polygamma_integral(p: Params, m: int, x: float, ctrl: EvalControl):
     """Psi^(m)_{k,nu}(x) = (-1)^(m+1) int_0^inf t^m e^-xt/(1-e^-ct) dt."""
     m = int(m)
     if m < 1:
-        raise ValueError(f"polygamma integral requires m >= 1, got {m}")
+        raise DomainWindow(f"polygamma integral requires m >= 1, got {m}")
     if not (x > 0.0):
         raise PoleHit(f"polygamma integral requires x > 0, got {x}")
     c = p.c
@@ -397,7 +397,7 @@ def _gamma_limit(p: Params, x: float, n: int, ctrl: EvalControl):
         raise PoleHit(f"gamma limit requires x > 0, got {x}")
     n = int(n)
     if n < 2:
-        raise ValueError(f"gamma limit requires n >= 2, got {n}")
+        raise DomainWindow(f"gamma limit requires n >= 2, got {n}")
     n = min(n, ctrl.max_terms)
     value = math.exp(_limit_log_value(p, x, n))
     half = math.exp(_limit_log_value(p, x, n // 2))
@@ -411,7 +411,7 @@ def _recip_product(p: Params, x: float, n_terms: int, ctrl: EvalControl):
         raise PoleHit(f"recip product requires x > 0, got {x}")
     n_terms = int(n_terms)
     if n_terms < 1:
-        raise ValueError(f"recip product requires n_terms >= 1, got {n_terms}")
+        raise DomainWindow(f"recip product requires n_terms >= 1, got {n_terms}")
     n_terms = min(n_terms, ctrl.max_terms)
     import numpy as np
 

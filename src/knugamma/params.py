@@ -1,14 +1,9 @@
 """The deformation parameter pair (k, nu) and its derived composites."""
 
-import sys
 from dataclasses import dataclass, field
 
+from .constants import _MAX, _MIN_NORMAL
 from .errors import NonPositiveArgument, ParameterRange
-
-# c and r are divided by and raised to powers everywhere; a subnormal
-# one has lost precision, a zero one or an infinite one means nothing.
-_MIN_NORMAL = sys.float_info.min
-_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -30,6 +25,9 @@ class Params:
             raise NonPositiveArgument(f"k must be > 0, got {self.k}")
         if not (self.nu > 0.0):
             raise NonPositiveArgument(f"nu must be > 0, got {self.nu}")
+        # c and r are divided by and raised to powers everywhere; a
+        # subnormal one has lost precision, a zero one or an infinite
+        # one means nothing.
         c, r = self.k * self.nu, self.k / self.nu
         if not (_MIN_NORMAL <= c <= _MAX and _MIN_NORMAL <= r <= _MAX):
             raise ParameterRange(

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from . import scalar
 from .errors import NonPositiveArgument, Overflow, PoleHit
 from .gamma import log_gamma_knu
-from .params import _MAX, _MIN_NORMAL, Params
+from .constants import _MAX, _MIN_NORMAL
+from .params import Params
 
 __all__ = ["PdeResiduals", "psi_knu", "polygamma_knu", "psi_shift_sum", "pde_residuals"]
 
@@ -35,8 +36,8 @@ def psi_knu(p: Params, x: float) -> float:
 
 def polygamma_knu(p: Params, m: int, x: float) -> float:
     """Psi^(m)_{k,nu}(x) = (-1)^(m+1) m! sum_{n>=0} (x + n c)^-(m+1),
-    for m >= 1, x > 0.  A result beyond the double range raises
-    ``Overflow``; x = inf gives the limit 0."""
+    for m >= 1 (``DomainWindow`` otherwise), x > 0.  A result beyond
+    the double range raises ``Overflow``; x = inf gives the limit 0."""
     if not (x > 0.0):
         raise PoleHit(f"polygamma_knu requires x > 0, got x={x}")
     u = x / p.c

@@ -12,12 +12,9 @@ subclass, for every float argument including inf, nan and subnormals.
 """
 
 import math
-import sys
 
-from .constants import EULER_GAMMA
-from .errors import DivergentSeries, NonPositiveArgument, Overflow
-
-_MIN_NORMAL = sys.float_info.min
+from .constants import _MIN_NORMAL, EULER_GAMMA
+from .errors import DivergentSeries, DomainWindow, NonPositiveArgument, Overflow
 
 __all__ = [
     "EULER_GAMMA",
@@ -146,13 +143,13 @@ def polygamma(m: int, x: float) -> float:
     """psi^(m)(x) = (-1)^(m+1) m! sum_{n>=0} (x+n)^-(m+1), for m >= 1,
     x > 0.
 
-    Raises ValueError for m < 1, NonPositiveArgument for x <= 0 or nan,
+    Raises DomainWindow for m < 1, NonPositiveArgument for x <= 0 or nan,
     and Overflow where the result exceeds double range (small x) or
     m > 150 (the order's series constants exceed it).  x = inf gives
     the limit 0.
     """
     if m < 1:
-        raise ValueError(f"polygamma requires m >= 1, got {m}")
+        raise DomainWindow(f"polygamma requires m >= 1, got {m}")
     if not (x > 0.0):
         raise NonPositiveArgument(f"polygamma requires x > 0, got {x}")
     fact_m, fact_m1, coeffs = _polygamma_table(m)

@@ -7,15 +7,18 @@ bounds differ by the factor A/B where
     ln B = y (ln(a+y+1) - ln(b+y+1))
 
 so F(a, b, y) = sign(ln A - ln B) records which bound is tighter at
-each grid cell.  Everything is evaluated in log space: the direct
-A and B overflow for axis values in the hundreds, the logs never do.
+each grid cell.  ``log_bound_terms`` is the one place these terms are
+written and ``sign_F`` the one place the tie rule is; both broadcast,
+so a grid block (a row of a against a column of b) takes one log per
+axis value.  A grid has one axis, used for both a and b.  Everything is
+evaluated in log space: the direct A and B overflow for axis values in
+the hundreds, the logs never do.
 """
 
-import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -55,130 +58,100 @@ AXIS_LO, AXIS_HI = 0.1, 1001.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis partition for a sign-map run.  ``a_points``/``b_points``
-    are strictly increasing; the rendered matrix flips b so it
+    """The axis of a sign-map run, used for both a and b: strictly
+    increasing and positive.  The rendered matrix flips b so it
     increases upward."""
 
-    a_points: tuple
-    b_points: tuple
-    y_values: tuple
-    mode: str  # "paper" or "desk"
+    points: tuple
 
     def __post_init__(self):
-        for name, pts in (("a_points", self.a_points), ("b_points", self.b_points)):
-            arr = np.asarray(pts)
-            if arr.ndim != 1 or len(arr) < 2 or not np.all(np.diff(arr) > 0):
-                raise ValueError(f"{name} must be strictly increasing")
-            if arr[0] <= 0:
-                raise ValueError(f"{name} must be positive")
+        arr = np.asarray(self.points)
+        if arr.ndim != 1 or len(arr) < 2 or not np.all(np.diff(arr) > 0):
+            raise ValueError("points must be strictly increasing")
+        if arr[0] <= 0:
+            raise ValueError("points must be positive")
 
 
-def paper_grid(y_values: Sequence[float] = PAPER_Y_VALUES) -> GridSpec:
+def paper_grid() -> GridSpec:
     """The full reference partition: [0.1, 10] step 0.01, then (10, 100]
     step 0.1, then (100, 1001] step 1 -- 991 + 900 + 901 = 2792 points
     per axis."""
     small = np.arange(0.1, 10.01, 0.01)
     mid = np.linspace(10.0, 100.0, 901)[1:]
     large = np.linspace(100.0, 1001.0, 902)[1:]
-    axis = tuple(np.hstack([small, mid, large]).tolist())
-    return GridSpec(a_points=axis, b_points=axis, y_values=tuple(y_values), mode="paper")
+    return GridSpec(points=tuple(np.hstack([small, mid, large]).tolist()))
 
 
-def desk_grid(y_values: Sequence[float] = PAPER_Y_VALUES, n_points: int = DESK_GRID_POINTS) -> GridSpec:
+def desk_grid(n_points: int = DESK_GRID_POINTS) -> GridSpec:
     """Log-spaced desk-scale grid over the same [0.1, 1001] range."""
-    axis = tuple(np.geomspace(AXIS_LO, AXIS_HI, n_points).tolist())
-    return GridSpec(a_points=axis, b_points=axis, y_values=tuple(y_values), mode="desk")
+    return GridSpec(points=tuple(np.geomspace(AXIS_LO, AXIS_HI, n_points).tolist()))
 
 
 def log_bound_terms(a, b, y):
-    """(ln A, ln B); accepts scalars or numpy arrays."""
+    """(ln A, ln B), broadcast over a, b and y.  Each log takes a or b
+    alone, so a row of a against a column of b takes one log per axis
+    value, and a cell's bits do not depend on the shapes.  ValueError
+    if a term is not finite."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    ln_a = (
-        (b + 1.0) * np.log(b)
-        - (a + 1.0) * np.log(a)
-        + (a + y + 1.0) * np.log(a + y)
-        - (b + y + 1.0) * np.log(b + y)
-    )
-    ln_b = y * (np.log(a + y + 1.0) - np.log(b + y + 1.0))
+    with np.errstate(all="ignore"):
+        ln_a = (
+            (b + 1.0) * np.log(b)
+            - (a + 1.0) * np.log(a)
+            + (a + y + 1.0) * np.log(a + y)
+            - (b + y + 1.0) * np.log(b + y)
+        )
+        ln_b = y * (np.log(a + y + 1.0) - np.log(b + y + 1.0))
+    if not (np.isfinite(ln_a).all() and np.isfinite(ln_b).all()):
+        raise ValueError(f"ln A or ln B is not finite at y={y}")
     return ln_a, ln_b
 
 
-def _ternary(ln_a, ln_b):
+def sign_F(a, b, y):
+    """F(a, b, y), broadcast over a, b and y: an int for scalar
+    arguments, an int8 array otherwise.  A difference within
+    ``SIGN_ZERO_RTOL`` of max(1, |ln A|, |ln B|) is a tie, 0.
+    ValueError unless every a, b and y is finite and > 0, or if a log
+    term overflows."""
+    a, b, y = (np.asarray(v, dtype=np.float64) for v in (a, b, y))
+    if not all(((v > 0.0) & (v < np.inf)).all() for v in (a, b, y)):
+        raise ValueError("sign_F requires finite a, b, y > 0")
+    ln_a, ln_b = log_bound_terms(a, b, y)
     diff = ln_a - ln_b
     scale = np.maximum(1.0, np.maximum(np.abs(ln_a), np.abs(ln_b)))
-    out = np.sign(diff).astype(np.int8)
-    out[np.abs(diff) <= SIGN_ZERO_RTOL * scale] = 0
-    return out
-
-
-def sign_F(a: float, b: float, y: float) -> int:
-    """Ternary comparison of the two upper bounds at one cell: the
-    formulas of ``log_bound_terms`` and the rule of ``_ternary`` on
-    plain floats."""
-    if not all(v > 0.0 and math.isfinite(v) for v in (a, b, y)):
-        raise ValueError(f"sign_F requires finite a, b, y > 0, got ({a}, {b}, {y})")
-    log = math.log
-    ln_a = (
-        (b + 1.0) * log(b)
-        - (a + 1.0) * log(a)
-        + (a + y + 1.0) * log(a + y)
-        - (b + y + 1.0) * log(b + y)
-    )
-    ln_b = y * (log(a + y + 1.0) - log(b + y + 1.0))
-    if not (math.isfinite(ln_a) and math.isfinite(ln_b)):
-        raise ValueError(f"sign_F log terms overflow at ({a}, {b}, {y})")
-    diff = ln_a - ln_b
-    if abs(diff) <= SIGN_ZERO_RTOL * max(1.0, abs(ln_a), abs(ln_b)):
-        return 0
-    return 1 if diff > 0.0 else -1
+    out = np.where(np.abs(diff) <= SIGN_ZERO_RTOL * scale, 0, np.sign(diff)).astype(np.int8)
+    return int(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class SignMap:
     """F over a grid at one y: ``values[i, j]`` holds
-    F(a_points[j], b_points[n-1-i], y), i.e. b decreases top-down so
-    plots read with b increasing upward.  Cells with a == b are 0."""
+    F(points[j], points[n-1-i], y), i.e. b decreases top-down so plots
+    read with b increasing upward.  Cells with a == b are 0."""
 
     grid: GridSpec
     y: float
-    values: np.ndarray  # int8, shape (len(b_points), len(a_points))
+    values: np.ndarray  # int8, shape (n, n)
 
 
 _BLOCK_ROWS = 256  # b rows per block of float temporaries, never the whole matrix
 
 
-def _axis_terms(t: np.ndarray, y: float):
-    """U(t) = (t+1) ln t, V(t) = (t+y+1) ln(t+y), L(t) = ln(t+y+1)."""
-    ty = t + y
-    return (t + 1.0) * np.log(t), (ty + 1.0) * np.log(ty), np.log(ty + 1.0)
-
-
-def _log_blocks(spec: GridSpec, y: float) -> Iterator[tuple]:
-    """``log_bound_terms`` over the matrix, ``_BLOCK_ROWS`` b rows at a
-    time, bit for bit: ln A = ((U_b - U_a) + V_a) - V_b and ln B =
-    y (L_a - L_b) round as its terms do.  ValueError if one is not finite."""
-    a = np.asarray(spec.a_points, dtype=np.float64)
-    b_desc = np.asarray(spec.b_points, dtype=np.float64)[::-1, None]
-    for start in range(0, len(b_desc), _BLOCK_ROWS):
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_a, v_a, l_a = _axis_terms(a, y)
-            u_b, v_b, l_b = _axis_terms(b_desc[start : start + _BLOCK_ROWS], y)
-            ln_a = ((u_b - u_a) + v_a) - v_b
-            ln_b = y * (l_a - l_b)
-        if not (np.isfinite(ln_a).all() and np.isfinite(ln_b).all()):
-            raise ValueError(f"sign-map log terms are not finite at y={y}")
-        yield ln_a, ln_b
+def _blocks(spec: GridSpec) -> Iterator[tuple]:
+    """(a row, b column): the matrix's b rows, descending, ``_BLOCK_ROWS``
+    at a time, against the whole a axis."""
+    axis = np.asarray(spec.points, dtype=np.float64)
+    b_desc = axis[::-1, None]
+    for start in range(0, len(axis), _BLOCK_ROWS):
+        yield axis, b_desc[start : start + _BLOCK_ROWS]
 
 
 def grid_signmap(spec: GridSpec, y: float) -> SignMap:
-    """Fill the ternary matrix for one y value.  Pure and vectorized:
-    the result is identical no matter how callers schedule cells.
-    Raises ValueError, as ``sign_F`` does, if any log term is not
-    finite (y = nan or inf, or a y so large that the terms overflow)."""
-    if y not in spec.y_values:
-        raise ValueError(f"y={y} is not one of the grid's y_values")
-    values = np.concatenate([_ternary(ln_a, ln_b) for ln_a, ln_b in _log_blocks(spec, y)])
+    """Fill the ternary matrix for one y value, ``sign_F`` a block at a
+    time.  Pure and vectorized: the result is identical no matter how
+    callers schedule cells.  Raises ValueError, as ``sign_F`` does, for
+    a y that is not finite and > 0 or so large that the terms overflow."""
+    values = np.concatenate([sign_F(a, b, y) for a, b in _blocks(spec)])
     return SignMap(grid=spec, y=y, values=values)
 
 
@@ -210,8 +183,9 @@ def iter_signmap_csv(sm: SignMap) -> Iterator[str]:
     so paper-scale maps stream in bounded memory.  Floats are written
     exactly as ``repr`` writes them; the a column, the per-row ``b,y``
     text and the F text are formatted once, not per cell."""
-    a_txt = [repr(a) for a in np.asarray(sm.grid.a_points, dtype=np.float64).tolist()]
-    b_col = np.asarray(sm.grid.b_points, dtype=np.float64)[::-1].tolist()
+    axis = np.asarray(sm.grid.points, dtype=np.float64)
+    a_txt = [repr(a) for a in axis.tolist()]
+    b_col = axis[::-1].tolist()
     y_txt = repr(float(sm.y))
     f_txt = (",-1\n", ",0\n", ",1\n")
     n = len(a_txt)
@@ -219,7 +193,7 @@ def iter_signmap_csv(sm: SignMap) -> Iterator[str]:
     # a  ,b,y,  lnA  ,  lnB  ,F\n
     tokens = [","] * (6 * n)
     tokens[0::6] = a_txt
-    rows = (row for block in _log_blocks(sm.grid, sm.y) for row in zip(*block))
+    rows = (row for a, b in _blocks(sm.grid) for row in zip(*log_bound_terms(a, b, sm.y)))
     yield "a,b,y,lnA,lnB,F\n"
     for b, (row_a, row_b), row_f in zip(b_col, rows, sm.values + 1):
         tokens[1::6] = [f",{b!r},{y_txt},"] * n
@@ -276,8 +250,6 @@ def write_atomic(path: str, chunks: Iterable[str]) -> int:
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             os.fchmod(fd, 0o666 & ~_umask())
-            if isinstance(chunks, str):
-                chunks = (chunks,)
             written = sum(fh.write(chunk) for chunk in chunks)
         os.replace(tmp, path)
         return written

@@ -11,15 +11,13 @@ exceeds double range.
 """
 
 import math
-import sys
 
 from . import scalar
+from .constants import _MIN_NORMAL
 from .errors import DivergentSeries, NonPositiveArgument, Overflow, PoleHit
 from .params import Params
 
 __all__ = ["zeta_knu", "hurwitz_knu"]
-
-_MIN_NORMAL = sys.float_info.min
 
 
 def zeta_knu(p: Params, x: float) -> float:

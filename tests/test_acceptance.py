@@ -210,7 +210,7 @@ def test_criterion_6_orderings():
 
 @pytest.fixture(scope="module")
 def desk_maps():
-    spec = desk_grid(y_values=(0.1, 1.0, 20.0))
+    spec = desk_grid()
     t0 = time.perf_counter()
     maps = {y: grid_signmap(spec, y) for y in (0.1, 1.0, 20.0)}
     elapsed = time.perf_counter() - t0
@@ -219,7 +219,7 @@ def desk_maps():
 
 def test_criterion_7a_diagonal(desk_maps):
     spec, maps, _ = desk_maps
-    n = len(spec.a_points)
+    n = len(spec.points)
     ok = True
     for sm in maps.values():
         for i in range(n):
@@ -231,7 +231,7 @@ def test_criterion_7b_antisymmetry(desk_maps):
     spec, maps, _ = desk_maps
     from knugamma.signmap import log_bound_terms
 
-    axis = np.asarray(spec.a_points)
+    axis = np.asarray(spec.points)
     aa, bb = np.meshgrid(axis, axis[::-1])
     ok = True
     for y, sm in maps.items():
@@ -246,7 +246,7 @@ def test_criterion_7b_antisymmetry(desk_maps):
 
 def test_criterion_7c_small_y_block(desk_maps):
     spec, maps, _ = desk_maps
-    axis = np.asarray(spec.a_points)
+    axis = np.asarray(spec.points)
     aa, bb = np.meshgrid(axis, axis[::-1])
     sm = maps[0.1]
     block = (aa <= 10.0) & (bb <= 10.0)
@@ -260,7 +260,7 @@ def test_criterion_7c_small_y_block(desk_maps):
 def test_criterion_7d_large_y_two_region_full_grid(desk_maps):
     # As stated: F = -1 wherever b > a at y=20 over the FULL desk grid.
     spec, maps, _ = desk_maps
-    axis = np.asarray(spec.a_points)
+    axis = np.asarray(spec.points)
     aa, bb = np.meshgrid(axis, axis[::-1])
     sm = maps[20.0]
     above = bb > aa
@@ -282,7 +282,7 @@ def test_criterion_7d_settled_region(desk_maps):
     # The pattern is settled for a, b >= 10 (and everywhere the blocks
     # with max(a,b) > 10 meet b > a), which does hold at y=20.
     spec, maps, _ = desk_maps
-    axis = np.asarray(spec.a_points)
+    axis = np.asarray(spec.points)
     aa, bb = np.meshgrid(axis, axis[::-1])
     sm = maps[20.0]
     settled = (aa >= 10.0) & (bb >= 10.0)

@@ -81,6 +81,19 @@ class TestEval:
         code, out, err = run_cli(capsys, ["eval", "--fn", "gamma", "--x", "170", "--oracle"])
         assert (code, out, err) == (2, "", "Overflow\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--fn", "polygamma", "--x", "1", "--m", "0"],
+            ["--fn", "polygamma", "--x", "1", "--m", "0", "--oracle"],
+            ["--fn", "gamma", "--x", "1", "--oracle", "--target", "gamma-limit", "--n", "1"],
+            ["--fn", "gamma", "--x", "1", "--oracle", "--target", "recip-product", "--n", "0"],
+        ],
+    )
+    def test_order_or_length_below_minimum_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["eval"] + argv)
+        assert (code, out, err) == (2, "", "DomainWindow\n")
+
 
 # one value per flag an oracle target can name, inside every target's
 # domain at (k, nu) = (0.5, 1)

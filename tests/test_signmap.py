@@ -19,7 +19,7 @@ from knugamma.signmap import (
     PAPER_Y_VALUES,
     _BLOCK_ROWS,
     GridSpec,
-    _log_blocks,
+    _blocks,
     _repr_row,
     desk_grid,
     grid_signmap,
@@ -36,6 +36,12 @@ class TestSignF:
     def test_diagonal_zero(self):
         for v in (0.1, 1.0, 5.0, 437.0, 1001.0):
             assert sign_F(v, v, 1.0) == 0
+
+    def test_int_for_scalars_int8_for_arrays(self):
+        assert type(sign_F(1.0, 2.0, 1.0)) is int
+        out = sign_F(np.array([1.0, 2.0]), np.array([[2.0], [1.0]]), 1.0)
+        assert out.dtype == np.int8
+        assert out.tolist() == [[1, 0], [0, -1]]
 
     def test_small_example_positive(self):
         # A = 64/81 vs B = 3/4
@@ -70,6 +76,11 @@ class TestSignF:
             (math.nan, 2.0, 1.0),
             (1.0, 2.0, math.nan),
             (1e308, 1.5e308, 1.0),  # finite inputs, overflowing log terms
+            (np.array([1.0, math.nan]), 2.0, 1.0),  # one bad element of an array
+            (np.array([1.0, 0.0]), 2.0, 1.0),
+            (1.0, np.array([[2.0], [0.0]]), 1.0),
+            (1.0, 2.0, np.array([1.0, math.nan])),
+            (np.array([1.0, 1e308]), np.array([2.0, 1.5e308]), 1.0),
         ],
     )
     def test_rejects_non_finite(self, a, b, y):
@@ -82,18 +93,17 @@ class TestSignF:
 class TestGrids:
     def test_paper_axis_counts(self):
         spec = paper_grid()
-        assert len(spec.a_points) == 2792  # 991 + 900 + 901
-        assert spec.a_points[0] == pytest.approx(0.1)
-        assert spec.a_points[990] == pytest.approx(10.0)
-        assert spec.a_points[-1] == pytest.approx(1001.0)
-        assert spec.mode == "paper"
+        assert len(spec.points) == 2792  # 991 + 900 + 901
+        assert spec.points[0] == pytest.approx(0.1)
+        assert spec.points[990] == pytest.approx(10.0)
+        assert spec.points[-1] == pytest.approx(1001.0)
 
     def test_desk_axis(self):
         spec = desk_grid()
-        assert len(spec.a_points) == 280
-        assert spec.a_points[0] == pytest.approx(0.1)
-        assert spec.a_points[-1] == pytest.approx(1001.0)
-        diffs = np.diff(spec.a_points)
+        assert len(spec.points) == 280
+        assert spec.points[0] == pytest.approx(0.1)
+        assert spec.points[-1] == pytest.approx(1001.0)
+        diffs = np.diff(spec.points)
         assert np.all(diffs > 0)
 
     def test_default_y_sweep(self):
@@ -105,46 +115,38 @@ class TestGrids:
         from knugamma.signmap import GridSpec
 
         with pytest.raises(ValueError):
-            GridSpec(a_points=(1.0, 0.5), b_points=(1.0, 2.0), y_values=(1.0,), mode="desk")
+            GridSpec(points=(1.0, 0.5))
 
 
 class TestGridSignmap:
     @pytest.mark.parametrize("y", [math.nan, math.inf, 1e308])
     def test_rejects_non_finite_log_terms(self, y):
-        spec = GridSpec(a_points=(0.5, 2.0), b_points=(1.0, 3.0), y_values=(y,), mode="desk")
+        spec = GridSpec(points=(0.5, 2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
                 grid_signmap(spec, y)
 
-    def test_y_must_be_registered(self):
-        spec = desk_grid(y_values=(1.0,))
-        with pytest.raises(ValueError):
-            grid_signmap(spec, 2.0)
-
     def test_matrix_layout_b_descending(self):
-        spec = desk_grid(y_values=(1.0,), n_points=50)
+        spec = desk_grid(n_points=50)
         sm = grid_signmap(spec, 1.0)
-        n = len(spec.a_points)
+        n = len(spec.points)
         assert sm.values.shape == (n, n)
         # cells with a == b sit on the anti-diagonal and are exactly 0
         for i in range(n):
             assert sm.values[n - 1 - i, i] == 0
 
     def test_matches_cellwise_sign_F(self):
-        spec = desk_grid(y_values=(0.5,), n_points=24)
-        sm = grid_signmap(spec, 0.5)
-        n = len(spec.a_points)
-        for i in range(0, n, 5):
-            for j in range(0, n, 5):
-                a = spec.a_points[j]
-                b = spec.b_points[n - 1 - i]
-                assert sm.values[i, j] == sign_F(a, b, 0.5)
+        spec = desk_grid()
+        axis = np.asarray(spec.points)
+        aa, bb = np.meshgrid(axis, axis[::-1])
+        for y in PAPER_Y_VALUES:
+            assert np.array_equal(grid_signmap(spec, y).values, sign_F(aa, bb, y)), y
 
     def test_antisymmetry_under_swap(self):
-        spec = desk_grid(y_values=(20.0,), n_points=64)
+        spec = desk_grid(n_points=64)
         sm = grid_signmap(spec, 20.0)
-        a = np.asarray(spec.a_points)
+        a = np.asarray(spec.points)
         aa, bb = np.meshgrid(a, a[::-1])
         ln_a_sw, ln_b_sw = log_bound_terms(bb, aa, 20.0)
         diff = ln_a_sw - ln_b_sw
@@ -155,9 +157,9 @@ class TestGridSignmap:
     def test_small_y_small_block_pattern(self):
         # inside [0.1, 10]^2 at y = 0.1: +1 strictly above the a = b
         # line, -1 strictly below
-        spec = desk_grid(y_values=(0.1,))
+        spec = desk_grid()
         sm = grid_signmap(spec, 0.1)
-        a = np.asarray(spec.a_points)
+        a = np.asarray(spec.points)
         aa, bb = np.meshgrid(a, a[::-1])
         block = (aa <= 10.0) & (bb <= 10.0)
         above = block & (bb > aa)
@@ -168,7 +170,7 @@ class TestGridSignmap:
 
 class TestSerialization:
     def _small_map(self):
-        spec = desk_grid(y_values=(1.0,), n_points=8)
+        spec = desk_grid(n_points=8)
         return grid_signmap(spec, 1.0)
 
     def test_csv_header_and_shape(self):
@@ -226,7 +228,7 @@ class TestSerialization:
         # widths around the 35-token line: every pixel kept in order,
         # every line <= 70 characters and newline-terminated
         for n in (2, 34, 35, 36, 71):
-            sm = grid_signmap(desk_grid(y_values=(1.0,), n_points=n), 1.0)
+            sm = grid_signmap(desk_grid(n_points=n), 1.0)
             text = "".join(iter_signmap_pgm(sm))
             assert text.endswith("\n")
             lines = text.splitlines()[3:]
@@ -235,7 +237,7 @@ class TestSerialization:
             assert np.array_equal(pixels, (sm.values + 1).ravel())
 
     def test_deterministic_bytes(self):
-        spec = desk_grid(y_values=(2.5,), n_points=40)
+        spec = desk_grid(n_points=40)
         a = "".join(iter_signmap_csv(grid_signmap(spec, 2.5)))
         b = "".join(iter_signmap_csv(grid_signmap(spec, 2.5)))
         assert a == b
@@ -303,12 +305,7 @@ class TestGoldenSnapshot:
     def _map(self):
         from knugamma.signmap import GridSpec
 
-        spec = GridSpec(
-            a_points=(0.5, 1.0, 2.0, 4.0),
-            b_points=(0.5, 1.0, 2.0, 4.0),
-            y_values=(1.0,),
-            mode="desk",
-        )
+        spec = GridSpec(points=(0.5, 1.0, 2.0, 4.0))
         return grid_signmap(spec, 1.0)
 
     def test_csv_golden(self):
@@ -349,7 +346,7 @@ class TestBoundBridge:
 class TestPaperMode:
     def test_full_partition_map(self):
         # one full reference-partition map: 2792 x 2792 cells
-        spec = paper_grid(y_values=(1.0,))
+        spec = paper_grid()
         sm = grid_signmap(spec, 1.0)
         n = 2792
         assert sm.values.shape == (n, n)
@@ -357,14 +354,14 @@ class TestPaperMode:
         idx = np.arange(n)
         assert np.all(sm.values[n - 1 - idx, idx] == 0)
         # spot-check the worked cells
-        assert sm.values[n - 1 - 90, 190] == sign_F(spec.a_points[190], spec.a_points[90], 1.0)
+        assert sm.values[n - 1 - 90, 190] == sign_F(spec.points[190], spec.points[90], 1.0)
 
     def test_paper_map_20_digests(self):
         # the full-partition y = 20 CSV and PGM, hashed as they stream,
         # against the digests the benchmark checks its files with
         golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
         want = json.loads(golden.read_text())["paper"]
-        sm = grid_signmap(paper_grid((20.0,)), 20.0)
+        sm = grid_signmap(paper_grid(), 20.0)
         for name, chunks in (("map_20.csv", iter_signmap_csv(sm)), ("map_20.pgm", iter_signmap_pgm(sm))):
             digest = hashlib.sha256()
             for chunk in chunks:
@@ -373,25 +370,26 @@ class TestPaperMode:
 
 
 class TestLogBlocks:
-    """The per-axis block path is ``log_bound_terms`` on the meshgrid,
-    byte for byte."""
+    """``log_bound_terms`` on the blocks the grid and the CSV writer
+    iterate (a row of a against a column of b) is ``log_bound_terms``
+    on the meshgrid, byte for byte."""
 
     @staticmethod
     def _assert_bit_identical(spec, y, n_blocks=None):
-        blocks = list(itertools.islice(_log_blocks(spec, y), n_blocks))
+        blocks = [log_bound_terms(a, b, y) for a, b in itertools.islice(_blocks(spec), n_blocks)]
         ln_a = np.concatenate([blk[0] for blk in blocks])
         ln_b = np.concatenate([blk[1] for blk in blocks])
-        b_desc = np.asarray(spec.b_points)[::-1][: len(ln_a)]
-        aa, bb = np.meshgrid(np.asarray(spec.a_points), b_desc)
+        b_desc = np.asarray(spec.points)[::-1][: len(ln_a)]
+        aa, bb = np.meshgrid(np.asarray(spec.points), b_desc)
         want_a, want_b = log_bound_terms(aa, bb, y)
         assert ln_a.tobytes() == want_a.tobytes()
         assert ln_b.tobytes() == want_b.tobytes()
 
     @pytest.mark.parametrize("y", PAPER_Y_VALUES)
     def test_desk_grid(self, y):
-        self._assert_bit_identical(desk_grid(y_values=(y,)), y)
+        self._assert_bit_identical(desk_grid(), y)
 
     @pytest.mark.parametrize("y", [20.0, 0.1])
     def test_paper_slice(self, y):
         # the first blocks covering at least 300 b rows of the partition
-        self._assert_bit_identical(paper_grid((y,)), y, n_blocks=-(-300 // _BLOCK_ROWS))
+        self._assert_bit_identical(paper_grid(), y, n_blocks=-(-300 // _BLOCK_ROWS))
