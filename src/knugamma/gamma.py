@@ -49,6 +49,8 @@ def log_gamma_knu(p: Params, x: float) -> float:
     if not (x > 0.0):
         raise PoleHit(f"Gamma_{{k,nu}} pole set is x <= 0; got x={x}")
     u = x / p.c
+    if u < _MIN_NORMAL:  # x/c has lost bits or is 0, ln u = ln x - ln c has not
+        return (u - 1.0) * math.log(p.r) + scalar.ln_gamma(1.0 + u) - (math.log(x) - math.log(p.c))
     return (u - 1.0) * math.log(p.r) + scalar.ln_gamma(u)
 
 

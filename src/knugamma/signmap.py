@@ -134,7 +134,7 @@ class SignMap:
     values: np.ndarray  # int8, shape (n, n)
 
 
-_BLOCK_ROWS = 256  # b rows per block of float temporaries, never the whole matrix
+_BLOCK_ROWS = 64  # b rows per block: cache-sized float temporaries, never the whole matrix
 
 
 def _blocks(spec: GridSpec) -> Iterator[tuple]:
@@ -159,21 +159,25 @@ def grid_signmap(spec: GridSpec, y: float) -> SignMap:
 # serialization: bit-exact text formats, no image library
 
 
-def _repr_row(row: np.ndarray) -> list:
-    """``[repr(v) for v in row]`` for a 1-D float64 array, without a
-    Python ``repr`` per value: orjson writes the same shortest
-    round-trip digits (Ryu) in one call.  Its notation differs from
-    ``repr`` only for nonzero |v| < 1e-4 (``0.00001`` for ``1e-05``),
-    |v| >= 1e16 (``1e16`` for ``1e+16``) and nan/inf (``null``); those
-    few tokens are redone with ``repr``."""
+def _repr_rows(block: np.ndarray) -> Iterator[list]:
+    """``[repr(v) for v in row]`` for each row of a 2-D float64 block,
+    without a Python ``repr`` per value: orjson writes the same shortest
+    round-trip digits (Ryu), one call per row.  Its notation differs
+    from ``repr`` only for nonzero |v| < 1e-4 (``0.00001`` for
+    ``1e-05``), |v| >= 1e16 (``1e16`` for ``1e+16``) and nan/inf
+    (``null``).  Those cells are found once per block, and only rows
+    holding one (few do) have those tokens redone with ``repr``."""
     import orjson  # only the CSV writer needs it
 
-    row = np.ascontiguousarray(row, dtype=np.float64)
-    tokens = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
-    mag = np.abs(row)
-    for i in np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (row != 0.0)).tolist():
-        tokens[i] = repr(float(row[i]))
-    return tokens
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    mag = np.abs(block)
+    redo = ~((mag >= 1e-4) & (mag < 1e16)) & (block != 0.0)
+    for row, row_redo, any_redo in zip(block, redo, redo.any(axis=1).tolist()):
+        tokens = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+        if any_redo:
+            for i in np.flatnonzero(row_redo).tolist():
+                tokens[i] = repr(float(row[i]))
+        yield tokens
 
 
 def iter_signmap_csv(sm: SignMap) -> Iterator[str]:
@@ -181,26 +185,27 @@ def iter_signmap_csv(sm: SignMap) -> Iterator[str]:
     descending then a ascending (same order as the matrix).  Yields one
     chunk per matrix row, recomputing lnA/lnB a block of rows at a time,
     so paper-scale maps stream in bounded memory.  Floats are written
-    exactly as ``repr`` writes them; the a column, the per-row ``b,y``
-    text and the F text are formatted once, not per cell."""
-    axis = np.asarray(sm.grid.points, dtype=np.float64)
-    a_txt = [repr(a) for a in axis.tolist()]
-    b_col = axis[::-1].tolist()
+    exactly as ``repr`` writes them (``_repr_rows``, fixed up per block);
+    the a column, the per-row ``b,y`` text and the per-block F text are
+    formatted once, not per cell."""
+    a_txt = [repr(float(a)) for a in sm.grid.points]
     y_txt = repr(float(sm.y))
-    f_txt = (",-1\n", ",0\n", ",1\n")
+    f_txt = np.array([",-1\n", ",0\n", ",1\n"], dtype=object)  # indexed by F + 1
     n = len(a_txt)
     # one row's text as a flat token list, six tokens per cell:
     # a  ,b,y,  lnA  ,  lnB  ,F\n
     tokens = [","] * (6 * n)
     tokens[0::6] = a_txt
-    rows = (row for a, b in _blocks(sm.grid) for row in zip(*log_bound_terms(a, b, sm.y)))
     yield "a,b,y,lnA,lnB,F\n"
-    for b, (row_a, row_b), row_f in zip(b_col, rows, sm.values + 1):
-        tokens[1::6] = [f",{b!r},{y_txt},"] * n
-        tokens[2::6] = _repr_row(row_a)
-        tokens[4::6] = _repr_row(row_b)
-        tokens[5::6] = [f_txt[f] for f in row_f.tolist()]
-        yield "".join(tokens)
+    for i, (a, b) in enumerate(_blocks(sm.grid)):
+        ln_a, ln_b = log_bound_terms(a, b, sm.y)
+        f_rows = f_txt[sm.values[i * _BLOCK_ROWS : (i + 1) * _BLOCK_ROWS] + 1]
+        for b_val, row_a, row_b, row_f in zip(b[:, 0].tolist(), _repr_rows(ln_a), _repr_rows(ln_b), f_rows):
+            tokens[1::6] = [f",{b_val!r},{y_txt},"] * n
+            tokens[2::6] = row_a
+            tokens[4::6] = row_b
+            tokens[5::6] = row_f.tolist()
+            yield "".join(tokens)
 
 
 _PGM_TOKENS_PER_LINE = 35  # 35 single-digit tokens = 69 chars <= the plain-format 70 cap

@@ -203,6 +203,17 @@ class TestBounds:
         assert values["tightest_upper"] == "upper_T1"
         assert values["tightest_lower"] == "lower_T31"
 
+    def test_x1_over_c_underflows(self, capsys):
+        # x1/c = 1e-500 is 0 in doubles; ln Gamma(x1/c) is still finite
+        code, out, _ = run_cli(
+            capsys,
+            ["bounds", "--k", "1e100", "--nu", "1e100", "--x1", "1e-300", "--x2", "1", "--y", "1",
+             "--format", "json"],
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert len(obj) == 6 and all(math.isfinite(v) for v in obj.values())
+
     def test_bad_order_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["bounds", "--x1", "2", "--x2", "1", "--y", "1"])
         assert code == 2

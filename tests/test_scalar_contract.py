@@ -17,6 +17,7 @@ from knugamma import (
     Params,
     beta_knu,
     chebyshev_beta_bound,
+    gamma_knu,
     hurwitz_knu,
     log_beta_knu,
     polygamma_knu,
@@ -300,10 +301,44 @@ def test_ratio_bounds_beyond_the_quotients(p, x1, x2, y):
     assert {name: getattr(got, name) for name in want} == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "p,x",
+    [
+        (Params(1e100, 1e100), 1e-300),  # x/c underflows to 0
+        (Params(1e100, 1e100), 5e-324),  # x/c underflows to 0, x is subnormal
+        (Params(1e100, 1e100), 1e-122),  # x/c = 1e-322 is subnormal
+        (Params(3.38e139, 9.27e-36), 1e-310),  # x/c underflows to 0, ln r ~ 402
+    ],
+)
+def test_gamma_knu_where_x_over_c_underflows(p, x):
+    """ln Gamma(u) = ln Gamma(1 + u) - (ln x - ln c) carries the result
+    where x/c is below the normal doubles; it agrees with a 40-digit
+    reference."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        u = mpmath.mpf(x) / mpmath.mpf(p.c)
+        want = (u - 1) * mpmath.log(mpmath.mpf(p.r)) + mpmath.loggamma(u)
+    assert gamma_knu(p, x).log_value == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+
 def test_ratio_bounds_where_x1_over_c_underflows():
-    # ln(x1/c) is taken as ln x1 - ln c; B(x1/c, y/c) has a pole there
-    with pytest.raises(ScalarDomainError):
-        ratio_bounds(Params(1e100, 1e100), 1e-300, 1.0, 1.0)
+    """x1/c underflows to 0; ln Gamma(x1/c), ln(x1/c) and so every bound
+    and the actual ratio B(x2/c, y/c)/B(x1/c, y/c) stay at their 40-digit
+    references (1e-12 covers log terms near 1.2e3)."""
+    import mpmath
+
+    p, x1, x2, y = Params(1e100, 1e100), 1e-300, 1.0, 1.0
+    got = ratio_bounds(p, x1, x2, y)
+    with mpmath.workdps(40):
+        x1, x2, y, c = (mpmath.mpf(v) for v in (x1, x2, y, p.c))
+        a1, a2, b = x1 / c, x2 / c, y / c
+        want = {
+            "actual_ratio": float(mpmath.beta(a2, b) / mpmath.beta(a1, b)),
+            "lower_T1": float((x2 + y) / (x1 + y) * (x1 / x2) ** (b + 1)),
+            "upper_T2": float(((x1 + y) / (x2 + y)) ** b),
+        }
+    assert {name: getattr(got, name) for name in want} == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_ratio_bounds_where_x1_over_c_is_subnormal():

@@ -20,7 +20,7 @@ from knugamma.signmap import (
     _BLOCK_ROWS,
     GridSpec,
     _blocks,
-    _repr_row,
+    _repr_rows,
     desk_grid,
     grid_signmap,
     iter_signmap_csv,
@@ -148,11 +148,7 @@ class TestGridSignmap:
         sm = grid_signmap(spec, 20.0)
         a = np.asarray(spec.points)
         aa, bb = np.meshgrid(a, a[::-1])
-        ln_a_sw, ln_b_sw = log_bound_terms(bb, aa, 20.0)
-        diff = ln_a_sw - ln_b_sw
-        swapped = np.sign(diff)
-        swapped[np.abs(diff) <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(ln_a_sw), np.abs(ln_b_sw)))] = 0
-        assert np.array_equal(sm.values, -swapped.astype(np.int8))
+        assert np.array_equal(sm.values, -sign_F(bb, aa, 20.0))
 
     def test_small_y_small_block_pattern(self):
         # inside [0.1, 10]^2 at y = 0.1: +1 strictly above the a = b
@@ -236,6 +232,24 @@ class TestSerialization:
             pixels = np.array(" ".join(lines).split(), dtype=int)
             assert np.array_equal(pixels, (sm.values + 1).ravel())
 
+    def test_csv_fixes_some_tokens_of_a_row(self):
+        # points a hair apart make |lnA| < 1e-4, and y = 1e-05 makes
+        # every nonzero lnB so small: those tokens take repr's exponent
+        # form; a = 1e-3 against b = 1e3 keeps lnA ~ 0.01 in orjson's text
+        spec = GridSpec(points=(1e-3, 0.5, 0.5 + 1e-9, 3.0, 1e3))
+        y = 1e-05
+        sm = grid_signmap(spec, y)
+        axis = np.asarray(spec.points)
+        aa, bb = np.meshgrid(axis, axis[::-1])
+        ln_a, ln_b = log_bound_terms(aa, bb, y)
+        tiny = (np.abs(ln_a) < 1e-4) & (ln_a != 0.0)
+        assert tiny[0].any() and (np.abs(ln_a[0]) >= 1e-4).any()  # both kinds in the first row
+        want = ["a,b,y,lnA,lnB,F\n"] + [
+            f"{a!r},{b!r},{y!r},{la!r},{lb!r},{f}\n"
+            for a, b, la, lb, f in zip(*(m.ravel().tolist() for m in (aa, bb, ln_a, ln_b, sm.values)))
+        ]
+        assert "".join(iter_signmap_csv(sm)) == "".join(want)
+
     def test_deterministic_bytes(self):
         spec = desk_grid(n_points=40)
         a = "".join(iter_signmap_csv(grid_signmap(spec, 2.5)))
@@ -254,28 +268,36 @@ _EDGE_FLOATS = (
 
 
 class TestReprRow:
-    """The CSV row formatter writes every float64 exactly as ``repr``."""
+    """The CSV row formatter writes every float64 of a block exactly as
+    ``repr``, in the rows that need a fix-up and in those that do not."""
+
+    @staticmethod
+    def _want(block):
+        return [[repr(v) for v in row] for row in block.tolist()]
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     @example(list(_EDGE_FLOATS))
     def test_matches_repr(self, values):
         row = np.array(values, dtype=np.float64)
-        want = [repr(v) for v in row.tolist()]
-        assert _repr_row(row) == want
+        # a row of ordinary values between the drawn rows: no fix-up there
+        block = np.stack([row, np.linspace(0.5, 7.5, len(row)), row[::-1]])
+        want = self._want(block)
+        assert list(_repr_rows(block)) == want
         # a strided (non-contiguous) view of the same values
-        wide = np.empty(2 * len(row))
-        wide[::2] = row
-        assert _repr_row(wide[::2]) == want
-        # a column of a C-ordered matrix
-        assert _repr_row(np.tile(row[:, None], (1, 2))[:, 1]) == want
+        wide = np.empty((3, 2 * len(row)))
+        wide[:, ::2] = block
+        assert list(_repr_rows(wide[:, ::2])) == want
+        # a Fortran-ordered block, and a column slice of a C-ordered array
+        assert list(_repr_rows(np.asfortranarray(block))) == want
+        assert list(_repr_rows(np.tile(block[:, :, None], (1, 1, 2))[:, :, 1])) == want
 
     def test_random_bit_patterns(self):
         # uniform over the 2^64 bit patterns: every exponent, sign,
         # subnormals and nan payloads
         bits = np.random.default_rng(11).integers(0, 2**64, 20000, dtype=np.uint64)
-        row = bits.view(np.float64)
-        assert _repr_row(row) == [repr(v) for v in row.tolist()]
+        block = bits.view(np.float64).reshape(100, 200)
+        assert list(_repr_rows(block)) == self._want(block)
 
 
 class TestGoldenSnapshot:
