@@ -6,14 +6,13 @@ linear space long before the ratios themselves do.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .beta import log_beta_knu
 from .errors import DomainWindow, Overflow, PoleHit
 from .gamma import _exp_sat, log_gamma_knu
 from .constants import _MAX, _MIN_NORMAL
-from .params import Params
+from .params import Params, Record
 
 __all__ = [
     "BoundReport",
@@ -73,8 +72,7 @@ def jensen_beta_bound(p: Params, x: float, y: float) -> Optional[Tuple[float, st
     return None
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """All five ratio bounds and the actual ratio
     B_{k,nu}(x2, y) / B_{k,nu}(x1, y) at one (x1, x2, y).
 

@@ -27,7 +27,6 @@ names) loads neither.
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import chain, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,7 +47,7 @@ from .gamma import (
     stirling_approx,
 )
 from .oracle import EvalControl, oracle_eval
-from .params import Params
+from .params import Params, Record
 from .psi import pde_residuals, polygamma_knu, psi_knu, psi_shift_sum
 from .zeta import hurwitz_knu, zeta_knu
 
@@ -58,8 +57,7 @@ GRID_KNU = (0.5, 1.0, 2.0, 3.0)
 GRID_X = (0.4, 1.1, 2.5, 6.0)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     max_dev: float
@@ -69,8 +67,7 @@ class CheckResult:
     note: str = ""
 
 
-@dataclass
-class _Grid:
+class _Grid(Record):
     params: List[Params]
     xs: Tuple[float, ...]
     tol_override: Optional[float] = None

@@ -7,12 +7,11 @@ defining limit, integral, and product representations live in
 """
 
 import math
-from dataclasses import dataclass
 
 from . import scalar
 from .errors import Overflow, PoleHit
 from .constants import _MAX, _MIN_NORMAL
-from .params import Params
+from .params import Params, Record
 
 __all__ = [
     "GammaValue",
@@ -24,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GammaValue:
+class GammaValue(Record):
     """Overflow-safe carrier: ``value`` may be ``inf`` for large
     arguments while ``log_value`` stays finite."""
 
@@ -45,13 +43,18 @@ def _exp_sat(log_value: float) -> float:
 
 def log_gamma_knu(p: Params, x: float) -> float:
     """ln Gamma_{k,nu}(x) for x > 0; the workhorse for every product or
-    ratio of deformed Gamma values."""
+    ratio of deformed Gamma values.  Raises ``Overflow`` where the log
+    itself leaves the double range."""
     if not (x > 0.0):
         raise PoleHit(f"Gamma_{{k,nu}} pole set is x <= 0; got x={x}")
     u = x / p.c
     if u < _MIN_NORMAL:  # x/c has lost bits or is 0, ln u = ln x - ln c has not
-        return (u - 1.0) * math.log(p.r) + scalar.ln_gamma(1.0 + u) - (math.log(x) - math.log(p.c))
-    return (u - 1.0) * math.log(p.r) + scalar.ln_gamma(u)
+        value = (u - 1.0) * math.log(p.r) + scalar.ln_gamma(1.0 + u) - (math.log(x) - math.log(p.c))
+    else:
+        value = (u - 1.0) * math.log(p.r) + scalar.ln_gamma(u)
+    if not (abs(value) <= _MAX):  # (u - 1) ln r overflows, alone or against ln Gamma(u)
+        raise Overflow(f"log_gamma_knu({p.k}, {p.nu}, {x}) exceeds double range")
+    return value
 
 
 def gamma_knu(p: Params, x: float) -> GammaValue:

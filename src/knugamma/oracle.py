@@ -15,18 +15,16 @@ interior, so singular endpoints are never evaluated.
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .constants import EULER_GAMMA
 from .errors import DivergentSeries, DomainWindow, NonPositiveArgument, Overflow, PoleHit
-from .params import Params
+from .params import Params, Record
 
 __all__ = ["EvalControl", "OracleResult", "oracle_eval", "ORACLE_TARGETS"]
 
 
-@dataclass(frozen=True)
-class EvalControl:
+class EvalControl(Record):
     """Tolerance/truncation policy for oracle evaluations."""
 
     abs_tol: float = 1e-12
@@ -44,8 +42,7 @@ class EvalControl:
         return max(self.abs_tol, self.rel_tol * abs(value))
 
 
-@dataclass
-class OracleResult:
+class OracleResult(Record):
     value: float
     err_estimate: float
     effort: int

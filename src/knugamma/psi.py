@@ -6,13 +6,12 @@ to psi^(m)(x/c) / c^(m+1).
 """
 
 import math
-from dataclasses import dataclass
 
 from . import scalar
 from .errors import NonPositiveArgument, Overflow, PoleHit
 from .gamma import log_gamma_knu
 from .constants import _MAX, _MIN_NORMAL
-from .params import Params
+from .params import Params, Record
 
 __all__ = ["PdeResiduals", "psi_knu", "polygamma_knu", "psi_shift_sum", "pde_residuals"]
 
@@ -65,8 +64,7 @@ def psi_shift_sum(p: Params, x: float, n: int) -> float:
     return sum(1.0 / (x + j * p.c) for j in range(n + 1))
 
 
-@dataclass(frozen=True)
-class PdeResiduals:
+class PdeResiduals(Record):
     """Left-minus-right values of the two second-order PDEs satisfied
     by F(k, nu, x) = ln Gamma_{k,nu}(x), evaluated by central finite
     differences:

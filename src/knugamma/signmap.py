@@ -17,10 +17,11 @@ the hundreds, the logs never do.
 
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from .params import Record
 
 __all__ = [
     "GridSpec",
@@ -56,8 +57,7 @@ DESK_GRID_POINTS = 280
 AXIS_LO, AXIS_HI = 0.1, 1001.0
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """The axis of a sign-map run, used for both a and b: strictly
     increasing and positive.  The rendered matrix flips b so it
     increases upward."""
@@ -123,8 +123,7 @@ def sign_F(a, b, y):
     return int(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class SignMap:
+class SignMap(Record):
     """F over a grid at one y: ``values[i, j]`` holds
     F(points[j], points[n-1-i], y), i.e. b decreases top-down so plots
     read with b increasing upward.  Cells with a == b are 0."""

@@ -1,6 +1,8 @@
 """CLI contract: output shapes, exit codes, JSON round-trips, file
 generation and determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,9 +10,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import knugamma
-from knugamma import Params, oracle_eval
+from knugamma import Params, errors, oracle_eval
 from knugamma.cli import _FNS, build_parser, main
 from knugamma.oracle import ORACLE_TARGETS
 
@@ -76,6 +80,12 @@ class TestEval:
         code, _, err = run_cli(capsys, ["eval", "--fn", "beta", "--x", "1"])
         assert code == 2
         assert "--y" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_log_gamma_overflow_exit_2(self, capsys, fmt):
+        # (x/c - 1) ln r = 2e305 * ln 1e300 is beyond the double range
+        argv = ["eval", "--fn", "gamma", "--k", "1", "--nu", "1e-300", "--x", "2e5", "--format", fmt]
+        assert run_cli(capsys, argv) == (2, "", "Overflow\n")
 
     def test_oracle_overflow_exit_2(self, capsys):
         code, out, err = run_cli(capsys, ["eval", "--fn", "gamma", "--x", "170", "--oracle"])
@@ -334,3 +344,60 @@ class TestSignmapCommand:
                 for name in ("m_0.1.csv", "m_1.csv", "m_20.csv", "m_0.1.pgm", "m_1.pgm", "m_20.pgm")
             }
         assert blobs["one"] == blobs["two"] == blobs["four"]
+
+
+# knu eval's six fast paths and knu bounds, fed any float64 in every
+# flag they read (any int for --m).  Values go as --flag=value, so that
+# argparse does not take a value such as -1e-05 for an option.
+KINDS = {
+    cls.kind for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.ScalarDomainError)
+}
+CLI_PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+FLAG_VALUES = st.fixed_dictionaries(
+    {"k": st.floats(), "nu": st.floats(), "x": st.floats(), "y": st.floats(), "s": st.floats(),
+     "m": st.integers()}
+)
+BOUNDS_VALUES = st.fixed_dictionaries({name: st.floats() for name in ("k", "nu", "x1", "x2", "y")})
+
+
+def _assert_value_or_one_error_line(argv, values, fmt):
+    """Exit 0 with no nan and a finite log value, or exit 2 with one
+    stderr line, an error kind or a configuration message; an exception
+    out of ``main`` fails the test as the traceback it would print."""
+    argv = argv + [f"--{name}={value!r}" for name, value in values.items()] + ["--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and "nan" not in out.lower(), (argv, out)
+        if fmt == "json":
+            logs = [json.loads(out).get("log_value", 0.0)]
+        else:
+            logs = [float(line[4:]) for line in out.splitlines() if line.startswith("log ")]
+        assert all(map(math.isfinite, logs)), (argv, out)
+    else:
+        assert (code, out) == (2, ""), (argv, code, out, err)
+        line = err[:-1]
+        assert "\n" not in line and (line in KINDS or line.startswith("bounds requires")), (argv, err)
+
+
+@CLI_PROPERTY
+@given(st.sampled_from(sorted(_FNS)), FLAG_VALUES, st.sampled_from(["text", "json"]))
+@example("gamma", {"k": 1.0, "nu": 1e-300, "x": 2e5, "y": 1.0, "s": 1.0, "m": 1}, "text")
+@example("gamma", {"k": 1.0, "nu": 1e-300, "x": 2e5, "y": 1.0, "s": 1.0, "m": 1}, "json")
+@example("beta", {"k": 1e100, "nu": 1e100, "x": 1e-300, "y": 1.0, "s": 1.0, "m": 1}, "text")
+@example("polygamma", {"k": 1.0, "nu": 1.0, "x": 1.0, "y": 1.0, "s": 1.0, "m": 0}, "text")
+def test_eval_fast_paths_any_float(fn, values, fmt):
+    read = ("k", "nu") + _FNS[fn][1]
+    _assert_value_or_one_error_line(["eval", "--fn", fn], {n: values[n] for n in read}, fmt)
+
+
+@CLI_PROPERTY
+@given(BOUNDS_VALUES, st.sampled_from(["text", "json"]))
+@example({"k": 1e100, "nu": 1e100, "x1": 1e-300, "x2": 1.0, "y": 1.0}, "text")
+@example({"k": 1.0, "nu": 1.0, "x1": 1e-300, "x2": 1e300, "y": 1e-300}, "json")
+@example({"k": 1.0, "nu": 1.0, "x1": math.nan, "x2": 1.0, "y": 1.0}, "text")
+def test_bounds_any_float(values, fmt):
+    _assert_value_or_one_error_line(["bounds"], values, fmt)

@@ -1,9 +1,9 @@
 """numpy, json, the sign-map module, the check suites and the oracle are
 loaded only by the code that uses them: importing the package or the
 CLI, and the ``knu eval`` and ``knu bounds`` commands, leave them
-unloaded.  The package still resolves every public name and submodule
-on first access, and the CLI still rejects an unknown suite or oracle
-target by name."""
+unloaded, and load neither dataclasses nor inspect.  The package still
+resolves every public name and submodule on first access, and the CLI
+still rejects an unknown suite or oracle target by name."""
 
 import os
 import subprocess
@@ -33,7 +33,10 @@ LAYERS = (
     ids=["package", "cli", "eval", "bounds"],
 )
 def test_scalar_paths_load_no_numpy(code):
-    unloaded = ("numpy", "json", "knugamma.signmap", "knugamma.checks", "knugamma.oracle")
+    unloaded = (
+        "numpy", "json", "knugamma.signmap", "knugamma.checks", "knugamma.oracle",
+        "dataclasses", "inspect",
+    )
     probe = code + f"\nimport sys\nprint([m for m in {unloaded!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(

@@ -1,10 +1,12 @@
-"""The contract of the scalar engine, Params and the (k, nu) zeta,
-polygamma, psi, Stirling and bound functions tested here, over every
-float64 argument, inf, nan and subnormals included: a finite double or
-a typed ScalarDomainError, never nan, inf, a bare OverflowError or a
-warning (the ratio bounds saturate to inf by design, so there only nan
-is ruled out).  Referenced cases pin the psi, beta, Stirling and
-ratio-bound points where a term leaves the double range."""
+"""The contract of the scalar engine, Params and the (k, nu) Gamma,
+zeta, polygamma, psi, Stirling and bound functions tested here, over
+every float64 argument, inf, nan and subnormals included: a finite
+double or a typed ScalarDomainError, never nan, inf, a bare
+OverflowError or a warning.  The ratio bounds and ``gamma_knu``'s
+``value`` saturate to inf by design, so there only nan is ruled out,
+and ``gamma_knu`` is held to a finite ``log_value``.  Referenced cases
+pin the psi, beta, Stirling and ratio-bound points where a term leaves
+the double range."""
 
 import math
 import sys
@@ -20,6 +22,7 @@ from knugamma import (
     gamma_knu,
     hurwitz_knu,
     log_beta_knu,
+    log_gamma_knu,
     polygamma_knu,
     psi_knu,
     ratio_bounds,
@@ -188,6 +191,9 @@ def test_knu_infinite_argument_limits(fn, args, want):
         # ln Gamma(y) and ln Gamma(x + y) both overflow: inf - inf
         (log_beta_knu, (Params(6.566e70, 6.916e-69), 1.255e101, 1e308)),
         (beta_knu, (Params(6.566e70, 6.916e-69), 1.255e101, 1e308)),
+        # (x/c - 1) ln r = 2e305 * ln 1e300 is beyond the double range
+        (log_gamma_knu, (Params(1, 1e-300), 2e5)),
+        (gamma_knu, (Params(1, 1e-300), 2e5)),
     ],
 )
 def test_knu_overflow(fn, args):
@@ -211,6 +217,23 @@ def test_knu_overflow(fn, args):
 def test_ratio_bounds_typed_errors(x1, x2, y, error):
     with pytest.raises(error):
         ratio_bounds(Params(1, 1), x1, x2, y)
+
+
+@CONTRACT
+@given(params_or_error(), ANY_FLOAT)
+@example(Params(1, 1e-300), 2e5)  # (x/c - 1) ln r overflows
+@example(Params(1, 1e-300), 1e5)  # ... and here does not: ln Gamma is 1.39e308
+@example(Params(1, 1), math.inf)
+@example(Params(1e100, 1e100), 5e-324)
+@example(Params(3.38e139, 9.27e-36), 1e-310)
+def test_gamma_knu(p, x):
+    if p is None:
+        return
+    try:
+        got = gamma_knu(p, x)
+    except ScalarDomainError:
+        return
+    assert math.isfinite(got.log_value) and not math.isnan(got.value), (p, x, got)
 
 
 @CONTRACT
