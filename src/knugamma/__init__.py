@@ -50,7 +50,6 @@ __all__ = [
     "GammaValue",
     "BoundReport",
     "PdeResiduals",
-    "EvalControl",
     "OracleResult",
     "GridSpec",
     "SignMap",
@@ -99,7 +98,7 @@ _LAZY_NAMES = {
         ("GridSpec", "PAPER_Y_VALUES", "SignMap", "desk_grid", "grid_signmap", "paper_grid", "sign_F"),
         "signmap",
     ),
-    **dict.fromkeys(("EvalControl", "OracleResult", "oracle_eval"), "oracle"),
+    **dict.fromkeys(("OracleResult", "oracle_eval"), "oracle"),
 }
 _LAZY_SUBMODULES = frozenset({"signmap", "oracle", "checks", "cli"})
 

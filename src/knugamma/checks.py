@@ -46,7 +46,7 @@ from .gamma import (
     pochhammer,
     stirling_approx,
 )
-from .oracle import EvalControl, oracle_eval
+from .oracle import oracle_eval
 from .params import Params, Record
 from .psi import pde_residuals, polygamma_knu, psi_knu, psi_shift_sum
 from .zeta import hurwitz_knu, zeta_knu
@@ -762,9 +762,9 @@ _ORACLE_PAIRS = ((0.3, 0.8), (1.2, 0.5), (3.0, 2.0), (0.4, 4.0), (1.0, 1.0))
 
 
 def _oracle_cases(*values):
-    """Cases of an oracle-equivalence check: one ``EvalControl`` per
-    run, with each element of the product of ``values``."""
-    return lambda g: product((EvalControl(),), _ORACLE_PARAMS, *values)
+    """Cases of an oracle-equivalence check: each element of the product
+    of ``_ORACLE_PARAMS`` and ``values``."""
+    return lambda g: product(_ORACLE_PARAMS, *values)
 
 
 def _oracle_dev(res, want, floor=1e-300):
@@ -775,52 +775,52 @@ def _oracle_dev(res, want, floor=1e-300):
 
 
 @_check("oracle", "oracle-gamma-integral", 1e-8, _oracle_cases(_ORACLE_U))
-def check_oracle_gamma_integral(ctrl, p, u):
+def check_oracle_gamma_integral(p, u):
     x = u * p.c
-    return _oracle_dev(oracle_eval("gamma-integral", p, [x], ctrl), gamma_knu(p, x).value)
+    return _oracle_dev(oracle_eval("gamma-integral", p, [x]), gamma_knu(p, x).value)
 
 
 @_check("oracle", "oracle-beta-unit", 1e-8, _oracle_cases(_ORACLE_PAIRS))
-def check_oracle_beta_unit(ctrl, p, pair):
+def check_oracle_beta_unit(p, pair):
     x, y = pair[0] * p.c, pair[1] * p.c
-    return _oracle_dev(oracle_eval("beta-unit-integral", p, [x, y], ctrl), beta_knu(p, x, y))
+    return _oracle_dev(oracle_eval("beta-unit-integral", p, [x, y]), beta_knu(p, x, y))
 
 
 @_check("oracle", "oracle-beta-scaled", 1e-8, _oracle_cases(_ORACLE_PAIRS))
-def check_oracle_beta_scaled(ctrl, p, pair):
+def check_oracle_beta_scaled(p, pair):
     x, y = pair[0] * p.c, pair[1] * p.c
-    return _oracle_dev(oracle_eval("beta-scaled-integral", p, [x, y], ctrl), beta_knu(p, x, y))
+    return _oracle_dev(oracle_eval("beta-scaled-integral", p, [x, y]), beta_knu(p, x, y))
 
 
 @_check("oracle", "oracle-psi-integral", 1e-7, _oracle_cases(_ORACLE_U))
-def check_oracle_psi_integral(ctrl, p, u):
+def check_oracle_psi_integral(p, u):
     x = u * p.c
-    return _oracle_dev(oracle_eval("psi-integral", p, [x], ctrl), psi_knu(p, x), floor=1.0)
+    return _oracle_dev(oracle_eval("psi-integral", p, [x]), psi_knu(p, x), floor=1.0)
 
 
 @_check("oracle", "oracle-psi-log-integral", 1e-7, _oracle_cases(_ORACLE_U))
-def check_oracle_psi_log_integral(ctrl, p, u):
+def check_oracle_psi_log_integral(p, u):
     x = u * p.c
-    return _oracle_dev(oracle_eval("psi-log-integral", p, [x], ctrl), psi_knu(p, x), floor=1.0)
+    return _oracle_dev(oracle_eval("psi-log-integral", p, [x]), psi_knu(p, x), floor=1.0)
 
 
 @_check("oracle", "oracle-polygamma", 1e-8, _oracle_cases((1, 2), (0.4, 1.0, 2.5)))
-def check_oracle_polygamma(ctrl, p, m, u):
+def check_oracle_polygamma(p, m, u):
     x = u * p.c
-    return _oracle_dev(oracle_eval("polygamma-integral", p, [m, x], ctrl), polygamma_knu(p, m, x))
+    return _oracle_dev(oracle_eval("polygamma-integral", p, [m, x]), polygamma_knu(p, m, x))
 
 
 @_check("oracle", "oracle-zeta-integral", 1e-7, _oracle_cases((1.3, 2.0, 3.0, 6.0, 11.0)))
-def check_oracle_zeta_integral(ctrl, p, u):
+def check_oracle_zeta_integral(p, u):
     x = u * p.c
-    return _oracle_dev(oracle_eval("zeta-integral", p, [x], ctrl), zeta_knu(p, x))
+    return _oracle_dev(oracle_eval("zeta-integral", p, [x]), zeta_knu(p, x))
 
 
 @_check("oracle", "oracle-hurwitz-integral", 1e-7,
         _oracle_cases(((0.5, 1.5), (1.0, 2.0), (2.0, 3.0), (0.8, 6.0), (3.0, 2.5))))
-def check_oracle_hurwitz_integral(ctrl, p, combo):
+def check_oracle_hurwitz_integral(p, combo):
     x, s = combo[0] * p.c, combo[1] * p.c
-    return _oracle_dev(oracle_eval("hurwitz-integral", p, [x, s], ctrl), hurwitz_knu(p, x, s))
+    return _oracle_dev(oracle_eval("hurwitz-integral", p, [x, s]), hurwitz_knu(p, x, s))
 
 
 @_check("oracle", "oracle-sine-integral", 1e-8,
@@ -881,10 +881,9 @@ def run_suite(
     suite: str,
     tol: Optional[float] = None,
     knu_values: Sequence[float] = GRID_KNU,
-    x_values: Sequence[float] = GRID_X,
 ) -> List[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     params = [Params(k, nu) for k in knu_values for nu in knu_values]
-    grid = _Grid(params=params, xs=tuple(x_values), tol_override=tol)
+    grid = _Grid(params=params, xs=GRID_X, tol_override=tol)
     return [fn(grid) for fn in SUITES[suite]]

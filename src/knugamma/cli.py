@@ -23,6 +23,7 @@ import argparse
 import importlib
 import math
 import os
+import re
 import sys
 import time
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -44,9 +45,15 @@ def _num(v: float) -> str:
 
 
 def _json(obj) -> str:
+    """Canonical JSON of a flat dict or a list of them, with null for
+    each float that is not finite: JSON has no inf or nan."""
     import json
 
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    def row(d: dict) -> dict:
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in d.items()}
+
+    obj = [row(d) for d in obj] if isinstance(obj, list) else row(obj)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _emit_json(obj) -> None:
@@ -101,13 +108,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     p = Params(args.k, args.nu)
     target, names, fast_path = _FNS[args.fn]
     if args.oracle:
-        from .oracle import ORACLE_TARGETS, EvalControl, oracle_eval
+        from .oracle import ORACLE_TARGETS, oracle_eval
 
         target = args.target or target
         values = _flags(args, ORACLE_TARGETS[target][1], f"oracle target {target}")
         if values is None:
             return 2
-        out = dict(vars(oracle_eval(target, p, values, EvalControl())), target=target)
+        out = dict(vars(oracle_eval(target, p, values)), target=target)
     else:
         values = _flags(args, names, f"--fn {args.fn}")
         if values is None:
@@ -158,9 +165,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    if not (0 < args.x1 < args.x2):
-        sys.stderr.write("bounds requires 0 < x1 < x2\n")
-        return 2
     p = Params(args.k, args.nu)
     fields = vars(ratio_bounds(p, args.x1, args.x2, args.y))
     if args.format == "json":
@@ -257,9 +261,6 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
         except ValueError:
             sys.stderr.write(f"bad --y value {args.y!r}\n")
             return 2
-        if not all(v > 0 and math.isfinite(v) for v in y_values):
-            sys.stderr.write("--y values must be positive and finite\n")
-            return 2
     else:
         y_values = PAPER_Y_VALUES
     spec = paper_grid() if args.paper_grid or args.mode == "paper" else desk_grid()
@@ -273,7 +274,7 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
     except OSError as exc:
         sys.stderr.write(f"cannot write output: {exc}\n")
         return 2
-    except ValueError as exc:  # a y whose map overflows; no file is written
+    except ValueError as exc:  # a y not finite and > 0, or whose map overflows; no file is written
         sys.stderr.write(f"cannot compute sign map: {exc}\n")
         return 2
     for paths, stats in results:
@@ -284,8 +285,22 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
     return 0
 
 
+# Every float literal with a leading minus ("-1e-05", "-inf"), not just
+# argparse's "-1" and "-.5", is read as a value, never as an option; no
+# knu option name looks like a number, so none is shadowed.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and so each of its subparsers, with that matcher."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="knu",
         description="Two-parameter deformed Gamma/Beta/Psi/Zeta toolkit",
     )

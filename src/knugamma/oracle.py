@@ -21,25 +21,20 @@ from .constants import EULER_GAMMA
 from .errors import DivergentSeries, DomainWindow, NonPositiveArgument, Overflow, PoleHit
 from .params import Params, Record
 
-__all__ = ["EvalControl", "OracleResult", "oracle_eval", "ORACLE_TARGETS"]
+__all__ = ["OracleResult", "oracle_eval", "ORACLE_TARGETS"]
+
+# The one evaluation policy: an integral has converged once its error
+# estimate is within max(_ABS_TOL, _REL_TOL * |value|), and gives up
+# after _MAX_SUBDIVISIONS bisections; a limit or product target takes at
+# most _MAX_TERMS terms.
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-9
+_MAX_SUBDIVISIONS = 2000
+_MAX_TERMS = 10_000_000
 
 
-class EvalControl(Record):
-    """Tolerance/truncation policy for oracle evaluations."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-    max_terms: int = 10_000_000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions <= 0 or self.max_terms <= 0:
-            raise ValueError("budgets must be positive")
-
-    def tolerance(self, value: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(value))
+def _tolerance(value: float) -> float:
+    return max(_ABS_TOL, _REL_TOL * abs(value))
 
 
 class OracleResult(Record):
@@ -86,7 +81,7 @@ def _gk15_panel(f: Callable[[float], float], a: float, b: float):
     return kronrod, err
 
 
-def _integrate(f: Callable[[float], float], a: float, b: float, ctrl: EvalControl):
+def _integrate(f: Callable[[float], float], a: float, b: float):
     """Adaptive bisection on [a, b]; returns (value, err, evals, converged)."""
     value, err = _gk15_panel(f, a, b)
     evals = 15
@@ -95,8 +90,8 @@ def _integrate(f: Callable[[float], float], a: float, b: float, ctrl: EvalContro
     heap = [(-err, order, a, b, value, err)]
     total_v, total_e = value, err
     subdivisions = 0
-    while total_e > ctrl.tolerance(total_v):
-        if subdivisions >= ctrl.max_subdivisions:
+    while total_e > _tolerance(total_v):
+        if subdivisions >= _MAX_SUBDIVISIONS:
             return total_v, total_e, evals, False
         neg, _, pa, pb, pv, pe = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
@@ -113,12 +108,12 @@ def _integrate(f: Callable[[float], float], a: float, b: float, ctrl: EvalContro
     return total_v, total_e, evals, True
 
 
-def _power_sub(f: Callable[[float], float], width: float, alpha: float):
-    """Transform integral of f over [0, width] with f ~ t^(alpha-1) near 0
-    into a panel-friendly one via t = u^p; returns (g, upper)."""
+def _integrate_singular_0(f: Callable[[float], float], width: float, alpha: float):
+    """Integral of f over [0, width] with f ~ t^(alpha-1) near 0, made
+    panel-friendly by t = u^p."""
     p = 1 if alpha >= 1.0 else max(2, math.ceil(2.0 / alpha))
     if p == 1:
-        return f, width
+        return _integrate(f, 0.0, width)
 
     def g(u: float) -> float:
         t = u**p
@@ -126,15 +121,10 @@ def _power_sub(f: Callable[[float], float], width: float, alpha: float):
             return 0.0
         return p * u ** (p - 1) * f(t)
 
-    return g, width ** (1.0 / p)
+    return _integrate(g, 0.0, width ** (1.0 / p))
 
 
-def _integrate_singular_0(f, width, alpha, ctrl):
-    g, upper = _power_sub(f, width, alpha)
-    return _integrate(g, 0.0, upper, ctrl)
-
-
-def _integrate_to_inf(f: Callable[[float], float], a: float, ctrl: EvalControl):
+def _integrate_to_inf(f: Callable[[float], float], a: float):
     """Integral of f over [a, inf) via t = a + v/(1-v)."""
 
     def g(v: float) -> float:
@@ -145,7 +135,7 @@ def _integrate_to_inf(f: Callable[[float], float], a: float, ctrl: EvalControl):
             return 0.0
         return y / (om * om)
 
-    return _integrate(g, 0.0, 1.0, ctrl)
+    return _integrate(g, 0.0, 1.0)
 
 
 def _combine(parts):
@@ -156,8 +146,17 @@ def _combine(parts):
     return value, err, evals, converged
 
 
-def _result(value, err, effort, converged, ctrl) -> OracleResult:
-    ok = converged and math.isfinite(value) and math.isfinite(err) and err <= ctrl.tolerance(value)
+def _quotient(num, den):
+    """The quotient of two integrals, with first-order error propagation."""
+    num_v, num_e, num_n, num_ok = num
+    den_v, den_e, den_n, den_ok = den
+    value = num_v / den_v
+    err = num_e / abs(den_v) + abs(num_v) * den_e / (den_v * den_v)
+    return value, err, num_n + den_n, num_ok and den_ok
+
+
+def _result(value, err, effort, converged) -> OracleResult:
+    ok = converged and math.isfinite(value) and math.isfinite(err) and err <= _tolerance(value)
     return OracleResult(value=value, err_estimate=err, effort=effort, converged=ok)
 
 
@@ -165,7 +164,7 @@ def _result(value, err, effort, converged, ctrl) -> OracleResult:
 # integral targets
 
 
-def _gamma_integral(p: Params, x: float, ctrl: EvalControl):
+def _gamma_integral(p: Params, x: float):
     """Gamma_{k,nu}(x) = int_0^inf e^-t (r t)^(x/c - 1) dt."""
     if not (x > 0.0):
         raise PoleHit(f"gamma integral requires x > 0, got {x}")
@@ -179,13 +178,13 @@ def _gamma_integral(p: Params, x: float, ctrl: EvalControl):
         return math.exp(arg) if arg > -745.0 else 0.0
 
     parts = [
-        _integrate_singular_0(f, 1.0, u, ctrl),
-        _integrate_to_inf(f, 1.0, ctrl),
+        _integrate_singular_0(f, 1.0, u),
+        _integrate_to_inf(f, 1.0),
     ]
     return _combine(parts)
 
 
-def _beta_unit_integral(p: Params, x: float, y: float, ctrl: EvalControl):
+def _beta_unit_integral(p: Params, x: float, y: float):
     """B_{k,nu}(x,y) = (nu/k) int_0^1 t^(a-1) (1-t)^(b-1) dt."""
     if not (x > 0.0 and y > 0.0):
         raise PoleHit(f"beta integral requires x, y > 0, got ({x}, {y})")
@@ -198,15 +197,15 @@ def _beta_unit_integral(p: Params, x: float, y: float, ctrl: EvalControl):
         return s ** (b - 1.0) * (1.0 - s) ** (a - 1.0)
 
     parts = [
-        _integrate_singular_0(f_left, 0.5, a, ctrl),
-        _integrate_singular_0(f_right, 0.5, b, ctrl),
+        _integrate_singular_0(f_left, 0.5, a),
+        _integrate_singular_0(f_right, 0.5, b),
     ]
     value, err, evals, conv = _combine(parts)
     scale = 1.0 / p.r
     return value * scale, err * scale, evals, conv
 
 
-def _beta_scaled_integral(p: Params, x: float, y: float, ctrl: EvalControl):
+def _beta_scaled_integral(p: Params, x: float, y: float):
     """B_{k,nu}(x,y) = int_0^(nu/k) (r t)^(a-1) (1 - r t)^(b-1) dt."""
     if not (x > 0.0 and y > 0.0):
         raise PoleHit(f"beta integral requires x, y > 0, got ({x}, {y})")
@@ -222,13 +221,13 @@ def _beta_scaled_integral(p: Params, x: float, y: float, ctrl: EvalControl):
         return (1.0 - rs) ** (a - 1.0) * rs ** (b - 1.0)
 
     parts = [
-        _integrate_singular_0(f_left, 0.5 * top, a, ctrl),
-        _integrate_singular_0(f_right, 0.5 * top, b, ctrl),
+        _integrate_singular_0(f_left, 0.5 * top, a),
+        _integrate_singular_0(f_right, 0.5 * top, b),
     ]
     return _combine(parts)
 
 
-def _psi_integral(p: Params, x: float, ctrl: EvalControl):
+def _psi_integral(p: Params, x: float):
     """Psi_{k,nu}(x) = (ln k - ln nu - gamma)/c
     + int_0^inf (e^-ct - e^-xt)/(1 - e^-ct) dt."""
     if not (x > 0.0):
@@ -241,12 +240,12 @@ def _psi_integral(p: Params, x: float, ctrl: EvalControl):
             return 0.0
         return (math.expm1(-c * t) - math.expm1(-x * t)) / den
 
-    value, err, evals, conv = _integrate_to_inf(f, 0.0, ctrl)
+    value, err, evals, conv = _integrate_to_inf(f, 0.0)
     const = (math.log(p.k) - math.log(p.nu) - EULER_GAMMA) / c
     return const + value, err, evals, conv
 
 
-def _psi_log_integral(p: Params, x: float, ctrl: EvalControl):
+def _psi_log_integral(p: Params, x: float):
     """Psi_{k,nu}(x) = (ln k - ln nu - gamma)/c
     + (1/c) int_0^1 (1 - u^(a-1))/(1 - u) du, a = x/c."""
     if not (x > 0.0):
@@ -259,15 +258,15 @@ def _psi_log_integral(p: Params, x: float, ctrl: EvalControl):
     # Near u=0 the integrand behaves like 1 - u^(a-1): singular only
     # when a < 1, with exponent a.
     parts = [
-        _integrate_singular_0(f, 0.5, a if a < 1.0 else 1.0, ctrl),
-        _integrate(f, 0.5, 1.0, ctrl),
+        _integrate_singular_0(f, 0.5, a if a < 1.0 else 1.0),
+        _integrate(f, 0.5, 1.0),
     ]
     value, err, evals, conv = _combine(parts)
     const = (math.log(p.k) - math.log(p.nu) - EULER_GAMMA) / p.c
     return const + value / p.c, err / p.c, evals, conv
 
 
-def _polygamma_integral(p: Params, m: int, x: float, ctrl: EvalControl):
+def _polygamma_integral(p: Params, m: int, x: float):
     """Psi^(m)_{k,nu}(x) = (-1)^(m+1) int_0^inf t^m e^-xt/(1-e^-ct) dt."""
     m = int(m)
     if m < 1:
@@ -282,12 +281,12 @@ def _polygamma_integral(p: Params, m: int, x: float, ctrl: EvalControl):
             return 0.0
         return t**m * math.exp(-x * t) / den
 
-    value, err, evals, conv = _integrate_to_inf(f, 0.0, ctrl)
+    value, err, evals, conv = _integrate_to_inf(f, 0.0)
     sign = 1.0 if m % 2 == 1 else -1.0
     return sign * value, err, evals, conv
 
 
-def _bose_integral(p: Params, exponent: float, decay: float, ctrl: EvalControl):
+def _bose_integral(p: Params, exponent: float, decay: float):
     """int_0^inf (r t)^(exponent-1) e^(-decay t)/(1 - e^(-c t)) dt with
     the 1/(1-e^-ct) pole at 0 folded in; behaves like t^(exponent-2)."""
     c = p.c
@@ -306,41 +305,33 @@ def _bose_integral(p: Params, exponent: float, decay: float, ctrl: EvalControl):
         return math.exp(arg) / den if arg > -745.0 else 0.0
 
     parts = [
-        _integrate_singular_0(f, 1.0, exponent - 1.0, ctrl),
-        _integrate_to_inf(f, 1.0, ctrl),
+        _integrate_singular_0(f, 1.0, exponent - 1.0),
+        _integrate_to_inf(f, 1.0),
     ]
     return _combine(parts)
 
 
-def _zeta_integral(p: Params, x: float, ctrl: EvalControl):
+def _zeta_integral(p: Params, x: float):
     """zeta_{k,nu}(x) = (1/Gamma_{k,nu}(x)) int_0^inf (r u)^(x/c-1)
     / (e^(c u) - 1) du; the normalization is itself evaluated by the
     oracle's gamma integral."""
     if not (x > p.c):
         raise DivergentSeries(f"zeta integral requires x > k*nu = {p.c}, got {x}")
     # 1/(e^cu - 1) = e^-cu/(1 - e^-cu): reuse the Bose kernel with decay c.
-    num_v, num_e, num_n, num_ok = _bose_integral(p, x / p.c, p.c, ctrl)
-    den_v, den_e, den_n, den_ok = _gamma_integral(p, x, ctrl)
-    value = num_v / den_v
-    err = num_e / abs(den_v) + abs(num_v) * den_e / (den_v * den_v)
-    return value, err, num_n + den_n, num_ok and den_ok
+    return _quotient(_bose_integral(p, x / p.c, p.c), _gamma_integral(p, x))
 
 
-def _hurwitz_integral(p: Params, x: float, s: float, ctrl: EvalControl):
+def _hurwitz_integral(p: Params, x: float, s: float):
     """zeta_{k,nu}(x, s) = (1/Gamma_{k,nu}(s)) int_0^inf (r u)^(s/c-1)
     e^(-x u)/(1 - e^(-c u)) du."""
     if not (x > 0.0):
         raise PoleHit(f"hurwitz integral requires x > 0, got {x}")
     if not (s > p.c):
         raise DivergentSeries(f"hurwitz integral requires s > k*nu = {p.c}, got {s}")
-    num_v, num_e, num_n, num_ok = _bose_integral(p, s / p.c, x, ctrl)
-    den_v, den_e, den_n, den_ok = _gamma_integral(p, s, ctrl)
-    value = num_v / den_v
-    err = num_e / abs(den_v) + abs(num_v) * den_e / (den_v * den_v)
-    return value, err, num_n + den_n, num_ok and den_ok
+    return _quotient(_bose_integral(p, s / p.c, x), _gamma_integral(p, s))
 
 
-def _sine_integral(_p: Optional[Params], x: float, ctrl: EvalControl):
+def _sine_integral(_p: Optional[Params], x: float):
     """int_0^1 t^(x-1) (1-t)^(-x) dt = pi/sin(pi x), 0 < x < 1; no
     (k, nu), so ``_p`` is ignored."""
     if not (x > 0.0):
@@ -355,8 +346,8 @@ def _sine_integral(_p: Optional[Params], x: float, ctrl: EvalControl):
         return s ** (-x) * (1.0 - s) ** (x - 1.0)
 
     parts = [
-        _integrate_singular_0(f_left, 0.5, x, ctrl),
-        _integrate_singular_0(f_right, 0.5, 1.0 - x, ctrl),
+        _integrate_singular_0(f_left, 0.5, x),
+        _integrate_singular_0(f_right, 0.5, 1.0 - x),
     ]
     return _combine(parts)
 
@@ -386,7 +377,7 @@ def _limit_log_value(p: Params, x: float, n: int) -> float:
     return total + (u - 1.0) * (math.log(n) + math.log(p.r))
 
 
-def _gamma_limit(p: Params, x: float, n: int, ctrl: EvalControl):
+def _gamma_limit(p: Params, x: float, n: int):
     """Limit definition Gamma_{k,nu}(x) = lim n! c^n (n k/nu)^(x/c-1)
     / (x)_{n,c}, truncated at a given n; the error estimate compares
     against the half-length truncation (both are O(1/n))."""
@@ -395,21 +386,21 @@ def _gamma_limit(p: Params, x: float, n: int, ctrl: EvalControl):
     n = int(n)
     if n < 2:
         raise DomainWindow(f"gamma limit requires n >= 2, got {n}")
-    n = min(n, ctrl.max_terms)
+    n = min(n, _MAX_TERMS)
     value = math.exp(_limit_log_value(p, x, n))
     half = math.exp(_limit_log_value(p, x, n // 2))
     err = abs(value - half)
     return value, err, n + n // 2, True
 
 
-def _recip_product(p: Params, x: float, n_terms: int, ctrl: EvalControl):
+def _recip_product(p: Params, x: float, n_terms: int):
     """Truncated Weierstrass-type product for 1/Gamma_{k,nu}(x)."""
     if not (x > 0.0):
         raise PoleHit(f"recip product requires x > 0, got {x}")
     n_terms = int(n_terms)
     if n_terms < 1:
         raise DomainWindow(f"recip product requires n_terms >= 1, got {n_terms}")
-    n_terms = min(n_terms, ctrl.max_terms)
+    n_terms = min(n_terms, _MAX_TERMS)
     import numpy as np
 
     c = p.c
@@ -452,12 +443,7 @@ ORACLE_TARGETS = {
 }
 
 
-def oracle_eval(
-    target: str,
-    p: Optional[Params],
-    args: Sequence[float],
-    ctrl: Optional[EvalControl] = None,
-) -> OracleResult:
+def oracle_eval(target: str, p: Optional[Params], args: Sequence[float]) -> OracleResult:
     """Evaluate one defining representation.  ``args`` are the values
     of the argument names ``ORACLE_TARGETS[target]`` lists, in that
     order; ``sine-integral`` is parameter-free and ignores ``p``.
@@ -473,10 +459,8 @@ def oracle_eval(
         raise ValueError(f"{target} expects {len(names)} argument(s), got {len(args)}")
     if p is None and evaluate is not _sine_integral:
         raise ValueError(f"{target} requires Params")
-    if ctrl is None:
-        ctrl = EvalControl()
     try:
-        out = evaluate(p, *args, ctrl)
+        out = evaluate(p, *args)
     except OverflowError:
         raise Overflow(f"{target} exceeds double range at {list(args)}") from None
-    return _result(*out, ctrl)
+    return _result(*out)

@@ -25,6 +25,16 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def loads(text):
+    """``json.loads`` that refuses the NaN, Infinity and -Infinity
+    tokens Python's json module writes and reads by default."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 class TestEval:
     def test_gamma_unit(self, capsys):
         code, out, _ = run_cli(capsys, ["eval", "--fn", "gamma", "--k", "1", "--nu", "1", "--x", "1"])
@@ -73,8 +83,27 @@ class TestEval:
             capsys, ["eval", "--fn", "hurwitz", "--x", "1", "--s", "2", "--format", "json"]
         )
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         assert obj["value"] == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv,nulls",
+        [
+            (["--fn", "gamma", "--x", "1000"], {"value"}),
+            (["--fn", "zeta", "--x", "1.01", "--oracle"], {"value", "err_estimate"}),
+            (["--fn", "gamma", "--oracle", "--target", "gamma-limit", "--k", "1e3", "--nu", "1e3",
+              "--x", "5e-324", "--n", "500"], {"value", "err_estimate"}),
+        ],
+    )
+    def test_json_non_finite_is_null(self, capsys, argv, nulls):
+        code, out, _ = run_cli(capsys, ["eval"] + argv + ["--format", "json"])
+        assert code == 0
+        obj = loads(out)
+        assert {name for name, value in obj.items() if value is None} == nulls
+
+    @pytest.mark.parametrize("x", [["--x", "-1e-05"], ["--x=-1e-05"], ["--x", "-inf"], ["--x", "-.5"]])
+    def test_negative_float_value_exit_2(self, capsys, x):
+        assert run_cli(capsys, ["eval", "--fn", "gamma"] + x) == (2, "", "PoleHit\n")
 
     def test_missing_companion_flag(self, capsys):
         code, _, err = run_cli(capsys, ["eval", "--fn", "beta", "--x", "1"])
@@ -121,7 +150,7 @@ class TestOracleTargets:
         assert code == 0
         values = [(int if name in ("m", "n") else float)(ORACLE_FLAGS[name]) for name in names]
         want = dict(vars(oracle_eval(target, Params(0.5, 1), values)), target=target)
-        assert json.loads(out) == want
+        assert loads(out) == want
 
     @pytest.mark.parametrize(
         "target,flag",
@@ -167,7 +196,7 @@ class TestCheck:
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, ["check", "--suite", "pde", "--format", "json"])
         assert code == 0
-        rows = json.loads(out)
+        rows = loads(out)
         assert rows[0]["name"] == "pde-residuals"
         assert rows[0]["passed"] is True
 
@@ -198,6 +227,13 @@ class TestCheck:
         raised = [l for l in lines if "(raised " in l]
         assert raised and all(l.startswith("FAIL") and "max_dev=inf" in l for l in raised)
 
+    def test_json_raised_check_max_dev_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, ["check", "--suite", "identities", "--grid", "1e100",
+                                        "--format", "json"])
+        assert code == 1
+        raised = [r for r in loads(out) if r["note"].startswith("raised ")]
+        assert raised and all(r["max_dev"] is None and not r["passed"] for r in raised)
+
 
 class TestBounds:
     def test_worked_example(self, capsys):
@@ -221,12 +257,17 @@ class TestBounds:
              "--format", "json"],
         )
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         assert len(obj) == 6 and all(math.isfinite(v) for v in obj.values())
 
     def test_bad_order_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["bounds", "--x1", "2", "--x2", "1", "--y", "1"])
-        assert code == 2
+        assert (code, err) == (2, "DomainWindow\n")
+
+    @pytest.mark.parametrize("x1", [["--x1", "-inf"], ["--x1=-inf"], ["--x1", "-1e-05"], ["--x1", "0"]])
+    def test_x1_not_positive_exit_2(self, capsys, x1):
+        argv = ["bounds"] + x1 + ["--x2", "1", "--y", "1"]
+        assert run_cli(capsys, argv) == (2, "", "PoleHit\n")
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -235,7 +276,7 @@ class TestBounds:
              "--format", "json"],
         )
         assert code == 0
-        obj = json.loads(out)
+        obj = loads(out)
         assert set(obj) == {
             "lower_T1", "upper_T1", "upper_T2", "lower_T31", "upper_T32", "actual_ratio",
         }
@@ -302,7 +343,7 @@ class TestSignmapCommand:
         assert code == 0 and plain_err == ""
         code, out, err = run_cli(capsys, argv + ["--stats"])
         assert code == 0 and out == plain_out
-        records = [json.loads(line) for line in err.splitlines()]
+        records = [loads(line) for line in err.splitlines()]
         assert [r["y"] for r in records] == [0.5, 2.0]
         for r, y in zip(records, ("0.5", "2")):
             assert set(r) == {"y", "cells", "csv_bytes", "pgm_bytes",
@@ -313,7 +354,7 @@ class TestSignmapCommand:
             assert all(r[k] >= 0.0 for k in ("compute_s", "csv_s", "pgm_s", "write_s"))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("y", ["nan", "inf", "1e308", "1,1e308"])
+    @pytest.mark.parametrize("y", ["nan", "inf", "1e308", "1,1e308", "0", "-1e-05"])
     def test_non_finite_or_overflowing_y_exit_2(self, capsys, tmp_path, y):
         code, out, err = run_cli(
             capsys,
@@ -347,8 +388,9 @@ class TestSignmapCommand:
 
 
 # knu eval's six fast paths and knu bounds, fed any float64 in every
-# flag they read (any int for --m).  Values go as --flag=value, so that
-# argparse does not take a value such as -1e-05 for an option.
+# flag they read (any int for --m).  Each value goes both as
+# --flag=value and as --flag value, and the two runs must agree:
+# argparse must not take a value such as -1e-05 or -inf for an option.
 KINDS = {
     cls.kind for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.ScalarDomainError)
@@ -361,26 +403,33 @@ FLAG_VALUES = st.fixed_dictionaries(
 BOUNDS_VALUES = st.fixed_dictionaries({name: st.floats() for name in ("k", "nu", "x1", "x2", "y")})
 
 
-def _assert_value_or_one_error_line(argv, values, fmt):
-    """Exit 0 with no nan and a finite log value, or exit 2 with one
-    stderr line, an error kind or a configuration message; an exception
-    out of ``main`` fails the test as the traceback it would print."""
-    argv = argv + [f"--{name}={value!r}" for name, value in values.items()] + ["--format", fmt]
+def _run_main(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; an exception out
+    of it fails the test as the traceback it would print."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_value_or_one_error_line(argv, values, fmt):
+    """Exit 0 with no nan and a finite log value, or exit 2 with an
+    error kind as the one stderr line; the same with each value joined
+    to its flag and as a word of its own."""
+    joined = [f"--{name}={value!r}" for name, value in values.items()]
+    separate = [word for name, value in values.items() for word in (f"--{name}", repr(value))]
+    code, out, err = _run_main(argv + joined + ["--format", fmt])
+    assert _run_main(argv + separate + ["--format", fmt]) == (code, out, err), (argv, values)
+    argv = argv + joined
     if code == 0:
         assert err == "" and "nan" not in out.lower(), (argv, out)
         if fmt == "json":
-            logs = [json.loads(out).get("log_value", 0.0)]
+            logs = [loads(out).get("log_value", 0.0)]
         else:
             logs = [float(line[4:]) for line in out.splitlines() if line.startswith("log ")]
         assert all(map(math.isfinite, logs)), (argv, out)
     else:
-        assert (code, out) == (2, ""), (argv, code, out, err)
-        line = err[:-1]
-        assert "\n" not in line and (line in KINDS or line.startswith("bounds requires")), (argv, err)
+        assert (code, out) == (2, "") and err.endswith("\n") and err[:-1] in KINDS, (argv, code, out, err)
 
 
 @CLI_PROPERTY

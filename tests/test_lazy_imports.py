@@ -53,7 +53,6 @@ def test_signmap_names_resolve_to_the_module():
 
 def test_oracle_names_resolve_to_the_module():
     assert knugamma.oracle_eval is knugamma.oracle.oracle_eval
-    assert knugamma.EvalControl is knugamma.oracle.EvalControl
     assert knugamma.OracleResult is knugamma.oracle.OracleResult
 
 

@@ -7,13 +7,13 @@ import pytest
 
 from knugamma import (
     DivergentSeries,
-    EvalControl,
     Overflow,
     Params,
     PoleHit,
     beta_knu,
     gamma_knu,
     hurwitz_knu,
+    oracle,
     oracle_eval,
     polygamma_knu,
     psi_knu,
@@ -25,27 +25,21 @@ SQRT_32_PI = 2.1708037636748028
 
 class TestControls:
     def test_defaults(self):
-        ctrl = EvalControl()
-        assert ctrl.abs_tol == 1e-12
-        assert ctrl.rel_tol == 1e-9
-        assert ctrl.max_subdivisions == 2000
-        assert ctrl.max_terms == 10_000_000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EvalControl(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            EvalControl(max_subdivisions=0)
+        assert oracle._ABS_TOL == 1e-12
+        assert oracle._REL_TOL == 1e-9
+        assert oracle._MAX_SUBDIVISIONS == 2000
+        assert oracle._MAX_TERMS == 10_000_000
 
     def test_converged_implies_within_tolerance(self):
-        ctrl = EvalControl()
-        res = oracle_eval("gamma-integral", Params(2, 3), [4.0], ctrl)
+        res = oracle_eval("gamma-integral", Params(2, 3), [4.0])
         assert res.converged
-        assert res.err_estimate <= max(ctrl.abs_tol, ctrl.rel_tol * abs(res.value))
+        assert res.err_estimate <= max(1e-12, 1e-9 * abs(res.value))
 
-    def test_budget_exhaustion_reports_not_converged(self):
-        ctrl = EvalControl(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
-        res = oracle_eval("beta-unit-integral", Params(0.5, 2.0), [0.3, 0.4], ctrl)
+    def test_budget_exhaustion_reports_not_converged(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 3)
+        monkeypatch.setattr(oracle, "_REL_TOL", 1e-15)
+        monkeypatch.setattr(oracle, "_ABS_TOL", 1e-300)
+        res = oracle_eval("beta-unit-integral", Params(0.5, 2.0), [0.3, 0.4])
         assert not res.converged
         assert math.isfinite(res.value)
 

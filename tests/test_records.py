@@ -14,7 +14,7 @@ from knugamma.bounds import BoundReport
 from knugamma.checks import CheckResult, _Grid
 from knugamma.errors import NonPositiveArgument
 from knugamma.gamma import GammaValue
-from knugamma.oracle import EvalControl, OracleResult
+from knugamma.oracle import OracleResult
 from knugamma.params import Params, Record
 from knugamma.psi import PdeResiduals
 from knugamma.signmap import GridSpec, SignMap
@@ -31,11 +31,6 @@ RECORDS = [
          "actual_ratio": 0.6},
     ),
     (PdeResiduals, (1e-9, -2e-9, 1e-4), {"res_k": 1e-9, "res_nu": -2e-9, "step": 1e-4}),
-    (
-        EvalControl,
-        (1e-10, 1e-8, 100, 1000),
-        {"abs_tol": 1e-10, "rel_tol": 1e-8, "max_subdivisions": 100, "max_terms": 1000},
-    ),
     (
         OracleResult,
         (1.0, 1e-12, 15, True),
@@ -139,10 +134,6 @@ def test_pickle_round_trip(cls, args, fields):
 
 
 def test_defaults():
-    assert vars(EvalControl()) == {
-        "abs_tol": 1e-12, "rel_tol": 1e-9, "max_subdivisions": 2000, "max_terms": 10_000_000,
-    }
-    assert EvalControl(rel_tol=1e-6) == EvalControl(1e-12, 1e-6)
     assert vars(CheckResult("a", True, 0.0, 1.0, 4)) == {
         "name": "a", "passed": True, "max_dev": 0.0, "tol": 1.0, "points": 4, "skipped": 0,
         "note": "",
@@ -157,8 +148,6 @@ def test_defaults():
         (lambda: Params(0.0, 1.0), NonPositiveArgument),
         (lambda: Params(1.0, 1.0, 1.0), TypeError),  # c is derived, no parameter
         (lambda: Params(1.0, 1.0, c=1.0), TypeError),
-        (lambda: EvalControl(abs_tol=0.0), ValueError),
-        (lambda: EvalControl(max_terms=0), ValueError),
         (lambda: GridSpec((1.0, 0.5)), ValueError),
         (lambda: GridSpec((-1.0, 0.5)), ValueError),
     ],
@@ -170,7 +159,7 @@ def test_validation(make, error):
 
 def test_derived_fields_are_not_class_attributes():
     assert not hasattr(Params, "c") and not hasattr(Params, "r")
-    assert EvalControl.abs_tol == 1e-12  # a default stays on the class
+    assert CheckResult.note == ""  # a default stays on the class
 
 
 def test_post_init_replaced_on_the_class_is_called(monkeypatch):
