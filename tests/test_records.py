@@ -148,6 +148,8 @@ def test_defaults():
         (lambda: Params(0.0, 1.0), NonPositiveArgument),
         (lambda: Params(1.0, 1.0, 1.0), TypeError),  # c is derived, no parameter
         (lambda: Params(1.0, 1.0, c=1.0), TypeError),
+        (lambda: GridSpec((1.0,)), ValueError),  # fewer than two points
+        (lambda: GridSpec(((0.5, 1.0),)), ValueError),  # not one axis
         (lambda: GridSpec((1.0, 0.5)), ValueError),
         (lambda: GridSpec((-1.0, 0.5)), ValueError),
     ],
