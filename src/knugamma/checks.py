@@ -20,9 +20,9 @@ domain error) or an ``ArithmeticError`` raised inside a check into that
 check's failure (``max_dev`` inf, the points counted so far, the error
 kind as note), so the rest of the suite runs.
 
-numpy and the sign-map module are imported only inside the two checks
-that use them, so importing this module (the CLI does, for the suite
-names) loads neither.
+numpy and the sign-map module are imported only inside the product
+table and the check that use them, so importing this module (the CLI
+does, for the suite names) loads neither.
 """
 
 import functools
@@ -276,46 +276,61 @@ def check_beta_ratio_identity(p, x, y, m, mm):
     return _rel(lhs, rhs)
 
 
+def _log_truncated_products(c: float, xs: Sequence[float], n: int) -> List[List[float]]:
+    """ln prod_{j=1..n} (1 + (x+y)/(jc)) / ((1 + x/(jc))(1 + y/(jc))) for
+    each ordered pair of ``xs``: table[a][b] for (xs[a], xs[b]).
+
+    The factor at j is 1 + t with t = -q_x q_y, q_x = x/(jc + x), so a
+    pair costs one multiply, one log1p and one sum, and (x, y) and (y, x)
+    share them.  t rises with j toward 0; on the head where t < -1/2 the
+    log is taken of (jc/(jc+x)) ((jc+y+x)/(jc+y)) itself, with x <= y,
+    which stays finite where t rounds to -1 (c <= 1e-20 on small x)."""
+    import numpy as np
+
+    jc = np.arange(1, n + 1, dtype=np.float64)
+    jc *= c
+    q = np.empty((len(xs), n))
+    for a, x in enumerate(xs):
+        np.add(jc, x, out=q[a])
+        np.divide(x, q[a], out=q[a])
+    t = np.empty(n)
+    table = [[0.0] * len(xs) for _ in xs]
+    for a in range(len(xs)):
+        for b in range(a, len(xs)):
+            np.multiply(q[a], q[b], out=t)
+            np.negative(t, out=t)
+            head = int(np.searchsorted(t, -0.5))
+            np.log1p(t[head:], out=t[head:])
+            if head:
+                x, y = sorted((xs[a], xs[b]))
+                jh, th = jc[:head], t[:head]
+                w = jh + y
+                np.add(w, x, out=th)
+                np.divide(th, w, out=th)
+                np.add(jh, x, out=w)
+                np.divide(jh, w, out=w)
+                np.multiply(th, w, out=th)
+                np.log(th, out=th)
+            table[a][b] = table[b][a] = float(t.sum())
+    return table
+
+
 @_register("identities", "beta-product-truncation", 1.0)
 def check_beta_product_truncation(g: _Grid, t: _Tally) -> None:
     # The infinite-product form converges O(1/N) with leading tail
     # -x y/(c^2 N), so the attainable accuracy at N=1e5 depends on the
     # cell: 1e-3 where x y/c^2 is moderate, ~6e-3 at the grid corner.
     # The check normalizes each cell by its O(1/N) envelope (factor-2
-    # slack), which is what the identity actually promises.
-    import numpy as np
-
+    # slack), which is what the identity actually promises.  The table
+    # depends only on c, so (k, nu) and (nu, k) share it.
     n_factors = 100_000
-    j = np.arange(1, n_factors + 1, dtype=np.float64)
-    xs = g.xs
-    # log1p(x/(j c)) once per x and log1p((x+y)/(j c)) once per unordered
-    # pair, into buffers allocated once; each ordered cell still sums its
-    # own elementwise L_xy - L_x - L_y, as a direct evaluation would.
-    # The table depends only on c, so (k, nu) and (nu, k) share it.
-    inv_jc = np.empty(n_factors)
-    log_x = np.empty((len(xs), n_factors))
-    log_xy = np.empty(n_factors)
-    diff = np.empty(n_factors)
     tables: Dict[float, List[List[float]]] = {}
     for p in g.params:
         log_prod = tables.get(p.c)
         if log_prod is None:
-            log_prod = tables[p.c] = [[0.0] * len(xs) for _ in xs]
-            np.multiply(j, p.c, out=inv_jc)
-            np.divide(1.0, inv_jc, out=inv_jc)
-            for a, x in enumerate(xs):
-                np.multiply(x, inv_jc, out=log_x[a])
-                np.log1p(log_x[a], out=log_x[a])
-            for a, x in enumerate(xs):
-                for b in range(a, len(xs)):
-                    np.multiply(x + xs[b], inv_jc, out=log_xy)
-                    np.log1p(log_xy, out=log_xy)
-                    for first, second in {(a, b), (b, a)}:
-                        np.subtract(log_xy, log_x[first], out=diff)
-                        np.subtract(diff, log_x[second], out=diff)
-                        log_prod[first][second] = float(diff.sum())
-        for a, x in enumerate(xs):
-            for b, y in enumerate(xs):
+            log_prod = tables[p.c] = _log_truncated_products(p.c, g.xs, n_factors)
+        for a, x in enumerate(g.xs):
+            for b, y in enumerate(g.xs):
                 approx = (x + y) / (x * y) * p.nu**2 * math.exp(log_prod[a][b])
                 envelope = max(1e-3, 2.0 * x * y / (p.c**2 * n_factors))
                 t.add(_rel(approx, beta_knu(p, x, y)) / envelope)

@@ -359,22 +359,25 @@ def _sine_integral(_p: Optional[Params], x: float):
 _CHUNK = 1 << 20
 
 
-def _limit_log_value(p: Params, x: float, n: int) -> float:
-    # ln[ n! c^n (n r)^(u-1) / (x)_{n,c} ]; the per-term form
-    # ln(j c / (x + (j-1) c)) keeps partial sums O(ln n), so no
-    # catastrophic cancellation against the (u-1) ln(n r) compensation.
-    import numpy as np
-
-    c = p.c
-    total = 0.0
+def _sums(terms, n: int, half: int):
+    """The sums of the terms j = 1..n and j = 1..half (1 <= half <= n)
+    from one pass over chunks of _CHUNK terms; ``terms(j0, j1)`` gives
+    the array of terms j0..j1.  Each sum adds its chunk sums in order,
+    and the chunk that holds ``half`` adds the sum of its prefix, so the
+    half-length sum has the bits a pass of its own would give."""
+    total = total_half = 0.0
     j0 = 1
     while j0 <= n:
         j1 = min(n, j0 + _CHUNK - 1)
-        j = np.arange(j0, j1 + 1, dtype=np.float64)
-        total += float(np.log(j * c / (x + (j - 1.0) * c)).sum())
+        chunk = terms(j0, j1)
+        s = float(chunk.sum())
+        total += s
+        if j1 <= half:
+            total_half += s
+        elif j0 <= half:
+            total_half += float(chunk[: half - j0 + 1].sum())
         j0 = j1 + 1
-    u = x / c
-    return total + (u - 1.0) * (math.log(n) + math.log(p.r))
+    return total, total_half
 
 
 def _gamma_limit(p: Params, x: float, n: int):
@@ -387,10 +390,32 @@ def _gamma_limit(p: Params, x: float, n: int):
     if n < 2:
         raise DomainWindow(f"gamma limit requires n >= 2, got {n}")
     n = min(n, _MAX_TERMS)
-    value = math.exp(_limit_log_value(p, x, n))
-    half = math.exp(_limit_log_value(p, x, n // 2))
+    import numpy as np
+
+    c = p.c
+
+    # ln[ m! c^m (m r)^(u-1) / (x)_{m,c} ] at m = n and m = n // 2; the
+    # per-term form ln(j c / (x + (j-1) c)) keeps partial sums O(ln n), so
+    # no catastrophic cancellation against the (u-1) ln(m r) compensation.
+    def terms(j0: int, j1: int):
+        j = np.arange(j0, j1 + 1, dtype=np.float64)
+        # the first term c/x overflows where x < c/DBL_MAX: its log is
+        # taken as ln c - ln x there (errstate None leaves a setting as is)
+        first_overflows = j0 == 1 and math.isinf(c / x)
+        with np.errstate(over="ignore" if first_overflows else None):
+            out = np.log(j * c / (x + (j - 1.0) * c))
+        if first_overflows:
+            out[0] = math.log(c) - math.log(x)
+        return out
+
+    half_n = n // 2
+    total, total_half = _sums(terms, n, half_n)
+    u = x / c
+    lr = math.log(p.r)
+    value = math.exp(total + (u - 1.0) * (math.log(n) + lr))
+    half = math.exp(total_half + (u - 1.0) * (math.log(half_n) + lr))
     err = abs(value - half)
-    return value, err, n + n // 2, True
+    return value, err, n + half_n, True
 
 
 def _recip_product(p: Params, x: float, n_terms: int):
@@ -406,20 +431,15 @@ def _recip_product(p: Params, x: float, n_terms: int):
     c = p.c
     u = x / c
 
-    def tail(n: int) -> float:
-        total = 0.0
-        j0 = 1
-        while j0 <= n:
-            j1 = min(n, j0 + _CHUNK - 1)
-            w = x / (np.arange(j0, j1 + 1, dtype=np.float64) * c)
-            total += float((np.log1p(w) - w).sum())
-            j0 = j1 + 1
-        return total
+    def terms(j0: int, j1: int):
+        w = x / (np.arange(j0, j1 + 1, dtype=np.float64) * c)
+        return np.log1p(w) - w
 
+    tail, tail_half = _sums(terms, n_terms, max(1, n_terms // 2))
     log_pref = (u - 1.0) * math.log(p.nu) - u * math.log(p.k)
     log_pref += math.log(x / p.nu) + EULER_GAMMA * u
-    value = math.exp(log_pref + tail(n_terms))
-    half = math.exp(log_pref + tail(max(1, n_terms // 2)))
+    value = math.exp(log_pref + tail)
+    half = math.exp(log_pref + tail_half)
     err = abs(value - half)
     return value, err, n_terms + n_terms // 2, True
 

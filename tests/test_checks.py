@@ -3,6 +3,7 @@ verdicts."""
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,23 +128,31 @@ def test_jensen_beta_bound_outside_its_regions_fails(monkeypatch):
     assert r.note == "bound given outside both regions"
 
 
+def _log_product_direct(c, x, y, n):
+    """One cell of the product table from fresh arrays: each factor
+    1 + t with t = -q_x q_y, and ln of the factor itself, taken with
+    x <= y, where t < -1/2."""
+    jc = np.arange(1, n + 1, dtype=np.float64) * c
+    t = -((x / (jc + x)) * (y / (jc + y)))
+    head = np.searchsorted(t, -0.5)
+    lo, hi = sorted((x, y))
+    jh = jc[:head]
+    terms = np.concatenate((
+        np.log((jh / (jh + lo)) * ((jh + hi + lo) / (jh + hi))),
+        np.log1p(t[head:]),
+    ))
+    return float(terms.sum())
+
+
 def _beta_product_truncation_direct(g):
-    """The check as a direct triple loop: three fresh log1p arrays per
-    ordered (x, y) cell."""
+    """The check as a direct triple loop, one fresh product per ordered
+    (x, y) cell."""
     n_factors = 100_000
-    j = np.arange(1, n_factors + 1, dtype=np.float64)
     dev, n = 0.0, 0
     for p in g.params:
-        inv_jc = 1.0 / (j * p.c)
         for x in g.xs:
             for y in g.xs:
-                log_prod = float(
-                    (
-                        np.log1p((x + y) * inv_jc)
-                        - np.log1p(x * inv_jc)
-                        - np.log1p(y * inv_jc)
-                    ).sum()
-                )
+                log_prod = _log_product_direct(p.c, x, y, n_factors)
                 approx = (x + y) / (x * y) * p.nu**2 * math.exp(log_prod)
                 envelope = max(1e-3, 2.0 * x * y / (p.c**2 * n_factors))
                 dev = max(dev, checks._rel(approx, beta_knu(p, x, y)) / envelope)
@@ -162,3 +171,37 @@ def test_beta_product_truncation_matches_direct_loop():
         got = checks.check_beta_product_truncation(g)
         assert got == _beta_product_truncation_direct(g)
         assert got.points == points
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-3, 1.0, 9.0])
+def test_log_truncated_products_match_direct_cells(c):
+    # every cell, not only the worst one the check reports; the head
+    # (t < -1/2) is empty at c = 9, up to 2 factors at c = 1, 165 to all
+    # 1000 at c = 1e-3 and the whole product at c = 1e-200
+    xs, n = (6.0, 0.4, 2.5, 2.5, 1.1), 1000
+    table = checks._log_truncated_products(c, xs, n)
+    assert table == [[_log_product_direct(c, x, y, n) for y in xs] for x in xs]
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-20, 1e-3, 0.25, 1.0, 9.0, 1e3, 1e100, 1e200])
+def test_log_truncated_products_match_closed_form(c):
+    # prod_{j<=N} of the factor is
+    # G(N+1+u+v) G(1+u) G(1+v) G(N+1) / (G(1+u+v) G(N+1+u) G(N+1+v)),
+    # u = x/c, v = y/c.  Where u is huge the log-Gamma terms cancel over
+    # ~200 digits, so the reference takes 450.
+    import mpmath
+
+    xs, n = (0.4, 1.1, 2.5, 6.0), 100_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = checks._log_truncated_products(c, xs, n)
+    lg = mpmath.loggamma
+    with mpmath.workdps(60 if c >= 1e-3 else 450):
+        for a, x in enumerate(xs):
+            for b, y in enumerate(xs):
+                u, v = mpmath.mpf(x) / c, mpmath.mpf(y) / c
+                want = float(
+                    lg(n + 1 + u + v) + lg(1 + u) + lg(1 + v) + lg(n + 1)
+                    - lg(1 + u + v) - lg(n + 1 + u) - lg(n + 1 + v)
+                )
+                assert abs(table[a][b] - want) <= 1e-15 * max(1.0, abs(want)), (x, y)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -91,8 +92,6 @@ class TestEval:
         [
             (["--fn", "gamma", "--x", "1000"], {"value"}),
             (["--fn", "zeta", "--x", "1.01", "--oracle"], {"value", "err_estimate"}),
-            (["--fn", "gamma", "--oracle", "--target", "gamma-limit", "--k", "1e3", "--nu", "1e3",
-              "--x", "5e-324", "--n", "500"], {"value", "err_estimate"}),
         ],
     )
     def test_json_non_finite_is_null(self, capsys, argv, nulls):
@@ -119,6 +118,24 @@ class TestEval:
     def test_oracle_overflow_exit_2(self, capsys):
         code, out, err = run_cli(capsys, ["eval", "--fn", "gamma", "--x", "170", "--oracle"])
         assert (code, out, err) == (2, "", "Overflow\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_gamma_limit_first_term_overflow(self, capsys, fmt):
+        # the first term c/x = 1e6/5e-324 overflows; its log does not, and
+        # Gamma_{k,nu}(x) ~ c/x leaves the double range
+        argv = ["eval", "--fn", "gamma", "--oracle", "--target", "gamma-limit", "--k", "1e3",
+                "--nu", "1e3", "--x", "5e-324", "--n", "500", "--format", fmt]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, argv) == (2, "", "Overflow\n")
+
+    def test_gamma_limit_first_term_in_logs(self, capsys):
+        # c/x = 1e350 overflows, Gamma_{k,nu}(x) = 1e50 does not
+        flags = ["--fn", "gamma", "--k", "1e200", "--nu", "1e-100", "--x", "1e-250"]
+        limit = ["--oracle", "--target", "gamma-limit", "--n", "500"]
+        code, out, err = run_cli(capsys, ["eval"] + flags + limit)
+        assert (code, out.splitlines()[0], err) == (0, "1e+50", "")
+        assert run_cli(capsys, ["eval"] + flags)[1].splitlines() == ["1e+50", "log 115.12925465"]
 
     @pytest.mark.parametrize(
         "argv",

@@ -20,6 +20,8 @@ from knugamma import (
     zeta_knu,
 )
 
+from knugamma.constants import EULER_GAMMA
+
 SQRT_32_PI = 2.1708037636748028
 
 
@@ -194,3 +196,50 @@ class TestEffortAccounting:
     def test_series_effort_counts_terms(self):
         res = oracle_eval("gamma-limit", Params(1, 1), [1.5, 1024])
         assert res.effort == 1024 + 512
+
+
+def _two_pass_limit(p, x, n):
+    """The limit target as two chunked passes, one per truncation length."""
+    import numpy as np
+
+    def log_value(m):
+        total, j0 = 0.0, 1
+        while j0 <= m:
+            j1 = min(m, j0 + oracle._CHUNK - 1)
+            j = np.arange(j0, j1 + 1, dtype=np.float64)
+            total += float(np.log(j * p.c / (x + (j - 1.0) * p.c)).sum())
+            j0 = j1 + 1
+        return total + (x / p.c - 1.0) * (math.log(m) + math.log(p.r))
+
+    value, half = math.exp(log_value(n)), math.exp(log_value(n // 2))
+    return value, abs(value - half), n + n // 2, True
+
+
+def _two_pass_product(p, x, n):
+    """The product target as two chunked passes, one per truncation length."""
+    import numpy as np
+
+    def tail(m):
+        total, j0 = 0.0, 1
+        while j0 <= m:
+            j1 = min(m, j0 + oracle._CHUNK - 1)
+            w = x / (np.arange(j0, j1 + 1, dtype=np.float64) * p.c)
+            total += float((np.log1p(w) - w).sum())
+            j0 = j1 + 1
+        return total
+
+    u = x / p.c
+    log_pref = (u - 1.0) * math.log(p.nu) - u * math.log(p.k)
+    log_pref += math.log(x / p.nu) + EULER_GAMMA * u
+    value = math.exp(log_pref + tail(n))
+    half = math.exp(log_pref + tail(max(1, n // 2)))
+    return value, abs(value - half), n + n // 2, True
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 15, 16, 17, 33])
+@pytest.mark.parametrize("p,x", [(Params(1, 1), 1.5), (Params(2, 3), 0.7), (Params(0.5, 2), 4.5)])
+def test_one_pass_sums_match_two_passes(monkeypatch, p, x, n):
+    # with 8-term chunks, n // 2 falls before, on and after a chunk end
+    monkeypatch.setattr(oracle, "_CHUNK", 8)
+    assert oracle._gamma_limit(p, x, n) == _two_pass_limit(p, x, n)
+    assert oracle._recip_product(p, x, n) == _two_pass_product(p, x, n)
