@@ -6,10 +6,11 @@ configuration error (the typed error name goes to stderr).  All
 commands are deterministic for fixed flags.  Every y's sign map is
 computed in the calling process before any file is written; the files
 are then written by a pool of forked worker processes, one y per job,
-which recompute the log terms as they stream (KNU_THREADS caps the
-number of processes, 0 = auto).  Output is byte-identical whatever the
-process count.  A single y, a platform without the fork start method,
-or a caller with other threads running, runs serially in-process.
+which recompute the log terms as they stream.  The pool has one process
+per CPU this process may run on, at most one per y.  Output is
+byte-identical whatever the process count.  A single y, a single CPU, a
+platform without the fork start method, or a caller with other threads
+running, runs serially in-process.
 
 numpy, the sign-map module, the check suites, the oracle and json are
 imported by the commands that use them (``signmap``, ``check``,
@@ -177,18 +178,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fmt_y(y: float) -> str:
-    return f"{y:g}"
-
-
-def _worker_count(n_jobs: int) -> int:
-    try:
-        cap = int(os.environ.get("KNU_THREADS", "0"))
-    except ValueError:
-        cap = 0
-    return max(1, min(cap if cap > 0 else os.cpu_count() or 1, n_jobs))
-
-
 def _timed(chunks: Iterable[str], stage: str, seconds: Dict[str, float]) -> Iterator[str]:
     """Pass ``chunks`` through, adding the thread-CPU time spent
     producing them to ``seconds[stage]``."""
@@ -202,11 +191,11 @@ def _timed(chunks: Iterable[str], stage: str, seconds: Dict[str, float]) -> Iter
         yield chunk
 
 
-def _write_map(sm: "SignMap", csv_path: str, pgm_path: str) -> Tuple[List[str], dict]:
+def _write_map(sm: "SignMap", csv_path: str, pgm_path: str) -> dict:
     """Write one y's CSV and PGM; runs in a pool worker or inline.
-    Returns the two paths and the job's stats: thread-CPU seconds of
-    CSV formatting, PGM formatting and the rest of the writing, the
-    cell count and the file sizes."""
+    Returns the job's stats: thread-CPU seconds of CSV formatting, PGM
+    formatting and the rest of the writing, the cell count and the file
+    sizes."""
     from .signmap import iter_signmap_csv, iter_signmap_pgm, write_atomic
 
     seconds = {"csv_s": 0.0, "pgm_s": 0.0}
@@ -214,18 +203,24 @@ def _write_map(sm: "SignMap", csv_path: str, pgm_path: str) -> Tuple[List[str], 
     csv_bytes = write_atomic(csv_path, _timed(iter_signmap_csv(sm), "csv_s", seconds))
     pgm_bytes = write_atomic(pgm_path, _timed(iter_signmap_pgm(sm), "pgm_s", seconds))
     seconds["write_s"] = time.thread_time() - t0 - seconds["csv_s"] - seconds["pgm_s"]
-    stats = dict(seconds, cells=int(sm.values.size), csv_bytes=csv_bytes, pgm_bytes=pgm_bytes)
-    return [csv_path, pgm_path], stats
+    return dict(seconds, cells=int(sm.values.size), csv_bytes=csv_bytes, pgm_bytes=pgm_bytes)
 
 
-def _write_maps(spec: "GridSpec", jobs: List[Tuple[float, str, str]], workers: int) -> List[tuple]:
-    """(paths, stats) for each (y, csv_path, pgm_path) job, in job
-    order.  Every y's map is computed here before any file is written,
-    so a y whose log terms overflow leaves no file behind.  Then, with
-    more than one worker, the fork start method available and no other
-    thread running, a process pool writes the files, one y per job;
-    otherwise they are written here."""
+def _write_maps(
+    spec: "GridSpec", jobs: List[Tuple[float, str, str]], width: Optional[int] = None
+) -> List[dict]:
+    """The stats of each (y, csv_path, pgm_path) job, in job order.
+    Every y's map is computed here before any file is written, so a y
+    whose log terms overflow leaves no file behind.  Then, with a
+    ``width`` above one, the fork start method available and no other
+    thread running, a pool of ``width`` processes writes the files, one
+    y per job; otherwise they are written here.  The default width is
+    the number of CPUs this process may run on, at most one per job."""
     from .signmap import grid_signmap
+
+    if width is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        width = min(cpus, len(jobs))
 
     ys, csv_paths, pgm_paths = zip(*jobs)
     maps, computed = [], []
@@ -238,15 +233,15 @@ def _write_maps(spec: "GridSpec", jobs: List[Tuple[float, str, str]], workers: i
 
     # fork copies only the calling thread: a lock held by another
     # thread would stay locked in the workers
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+    if width == 1 or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
         written = list(map(_write_map, maps, csv_paths, pgm_paths))
     else:
         import concurrent.futures
 
         context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+        with concurrent.futures.ProcessPoolExecutor(width, mp_context=context) as pool:
             written = list(pool.map(_write_map, maps, csv_paths, pgm_paths))
-    return [(paths, dict(stats, **job_stats)) for stats, (paths, job_stats) in zip(computed, written)]
+    return [dict(stats, **job_stats) for stats, job_stats in zip(computed, written)]
 
 
 def _cmd_signmap(args: argparse.Namespace) -> int:
@@ -264,24 +259,21 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
     else:
         y_values = PAPER_Y_VALUES
     spec = paper_grid() if args.paper_grid or args.mode == "paper" else desk_grid()
-    jobs = [
-        (y, args.out_csv.replace("{y}", _fmt_y(y)), args.out_pgm.replace("{y}", _fmt_y(y)))
-        for y in y_values
-    ]
-    workers = _worker_count(len(jobs))
+    jobs = [(y, args.out_csv.replace("{y}", f"{y:g}"), args.out_pgm.replace("{y}", f"{y:g}"))
+            for y in y_values]
     try:
-        results = _write_maps(spec, jobs, workers)
+        results = _write_maps(spec, jobs)
     except OSError as exc:
         sys.stderr.write(f"cannot write output: {exc}\n")
         return 2
     except ValueError as exc:  # a y not finite and > 0, or whose map overflows; no file is written
         sys.stderr.write(f"cannot compute sign map: {exc}\n")
         return 2
-    for paths, stats in results:
+    for (_, csv_path, pgm_path), stats in zip(jobs, results):
         if args.stats:
             sys.stderr.write(_json(stats) + "\n")
-        for path in paths:
-            print(path)
+        print(csv_path)
+        print(pgm_path)
     return 0
 
 

@@ -9,7 +9,7 @@ defining limit, integral, and product representations live in
 import math
 
 from . import scalar
-from .errors import Overflow, PoleHit
+from .errors import DomainWindow, Overflow, PoleHit
 from .constants import _MAX, _MIN_NORMAL
 from .params import Params, Record
 
@@ -65,14 +65,14 @@ def gamma_knu(p: Params, x: float) -> GammaValue:
 
 def pochhammer(x: float, n: int, a: float) -> float:
     """Shifted factorial (x)_{n,a} = x (x+a) ... (x+(n-1)a); the empty
-    product (n = 0) is 1."""
+    product (n = 0) is 1; n < 0 raises ``DomainWindow``."""
     if n < 0:
-        raise ValueError(f"pochhammer requires n >= 0, got {n}")
+        raise DomainWindow(f"pochhammer requires n >= 0, got {n}")
     result = 1.0
     for j in range(n):
         result *= x + j * a
-        if math.isinf(result):
-            raise Overflow(f"pochhammer({x}, {n}, {a}) exceeds double range")
+        if not (abs(result) <= _MAX):  # beyond the double range, or nan from a nan or inf argument
+            raise Overflow(f"pochhammer({x}, {n}, {a}) is not a finite double")
     return result
 
 
@@ -88,9 +88,12 @@ def param_transform(from_p: Params, to_p: Params, x: float) -> float:
     """
     if not (x > 0.0):
         raise PoleHit(f"param_transform requires x > 0, got x={x}")
+    # the factor is r_to / r_from; where it is not a normal double it has
+    # lost bits or left the range, ln r_to - ln r_from has not
     factor = (to_p.k * from_p.nu) / (from_p.k * to_p.nu)
+    log_factor = math.log(factor) if _MIN_NORMAL <= factor <= _MAX else math.log(to_p.r) - math.log(from_p.r)
     exponent = x / to_p.c - 1.0
-    return _exp_sat(exponent * math.log(factor) + log_gamma_knu(from_p, from_p.c * x / to_p.c))
+    return _exp_sat(exponent * log_factor + log_gamma_knu(from_p, from_p.c * x / to_p.c))
 
 
 def stirling_approx(p: Params, x: float) -> float:

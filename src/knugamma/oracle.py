@@ -17,7 +17,7 @@ import heapq
 import math
 from typing import Callable, Optional, Sequence
 
-from .constants import EULER_GAMMA
+from .constants import _MIN_NORMAL, EULER_GAMMA
 from .errors import DivergentSeries, DomainWindow, NonPositiveArgument, Overflow, PoleHit
 from .params import Params, Record
 
@@ -437,7 +437,10 @@ def _recip_product(p: Params, x: float, n_terms: int):
 
     tail, tail_half = _sums(terms, n_terms, max(1, n_terms // 2))
     log_pref = (u - 1.0) * math.log(p.nu) - u * math.log(p.k)
-    log_pref += math.log(x / p.nu) + EULER_GAMMA * u
+    # where x/nu is below the normal doubles it has lost bits or is 0;
+    # ln x - ln nu has not
+    x_nu = x / p.nu
+    log_pref += (math.log(x_nu) if x_nu >= _MIN_NORMAL else math.log(x) - math.log(p.nu)) + EULER_GAMMA * u
     value = math.exp(log_pref + tail)
     half = math.exp(log_pref + tail_half)
     err = abs(value - half)

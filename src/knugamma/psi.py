@@ -8,7 +8,7 @@ to psi^(m)(x/c) / c^(m+1).
 import math
 
 from . import scalar
-from .errors import NonPositiveArgument, Overflow, PoleHit
+from .errors import DomainWindow, NonPositiveArgument, Overflow, PoleHit
 from .gamma import log_gamma_knu
 from .constants import _MAX, _MIN_NORMAL
 from .params import Params, Record
@@ -60,8 +60,11 @@ def psi_shift_sum(p: Params, x: float, n: int) -> float:
     if not (x > 0.0):
         raise PoleHit(f"psi_shift_sum requires x > 0, got x={x}")
     if n < 0:
-        raise ValueError(f"psi_shift_sum requires n >= 0, got {n}")
-    return sum(1.0 / (x + j * p.c) for j in range(n + 1))
+        raise DomainWindow(f"psi_shift_sum requires n >= 0, got {n}")
+    total = sum(1.0 / (x + j * p.c) for j in range(n + 1))
+    if total > _MAX:  # 1/x overflows where x < 1/DBL_MAX
+        raise Overflow(f"psi_shift_sum({p.k}, {p.nu}, {x}, {n}) exceeds double range")
+    return total
 
 
 class PdeResiduals(Record):
@@ -112,4 +115,6 @@ def pde_residuals(p: Params, x: float, step: float = 1e-4) -> PdeResiduals:
     u = x / p.c
     res_k = k * k * d2k + 2.0 * k * d1k - x * x * d2x - (-1.0 - u)
     res_nu = nu * nu * d2v + 2.0 * nu * d1v - x * x * d2x - (1.0 + u)
+    if not (abs(res_k) <= _MAX and abs(res_nu) <= _MAX):  # a square or quotient of the stencil overflows
+        raise Overflow(f"pde_residuals({k}, {nu}, {x}): a residual is not a finite double")
     return PdeResiduals(res_k=res_k, res_nu=res_nu, step=step)

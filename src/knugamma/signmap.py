@@ -16,7 +16,6 @@ the hundreds, the logs never do.
 """
 
 import os
-import tempfile
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -236,24 +235,17 @@ def iter_signmap_pgm(sm: SignMap) -> Iterator[str]:
         yield _pgm_lines(digits[start : start + block])
 
 
-def _umask() -> int:
-    # the umask can only be read by setting it
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def write_atomic(path: str, chunks: Iterable[str]) -> int:
-    """Write via a temp file in the destination directory + rename; the
-    file gets the mode a plain ``open`` would give it (0o666 less the
-    umask), not mkstemp's 0o600.  Returns the number of characters
-    written (bytes, for the ASCII sign-map formats)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write via a temp file next to ``path`` + rename.  The temp file,
+    ``{path}.{16 random hex digits}.tmp``, is created exclusively with
+    mode 0o666, so the kernel takes the umask off and the file gets the
+    mode a plain ``open`` would give it.  Returns the number of
+    characters written (bytes, for the ASCII sign-map formats)."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            os.fchmod(fd, 0o666 & ~_umask())
             written = sum(fh.write(chunk) for chunk in chunks)
         os.replace(tmp, path)
         return written

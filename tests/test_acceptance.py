@@ -9,7 +9,6 @@ settled region a, b >= 10, which is asserted separately and passes.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -29,7 +28,7 @@ from knugamma import (
     zeta_knu,
 )
 from knugamma import checks
-from knugamma.cli import main as cli_main
+from knugamma.cli import _write_maps
 from knugamma.signmap import desk_grid, grid_signmap
 
 GRID_PARAMS = [Params(k, nu) for k in (0.5, 1.0, 2.0, 3.0) for nu in (0.5, 1.0, 2.0, 3.0)]
@@ -290,30 +289,22 @@ def test_criterion_7d_settled_region(desk_maps):
     )
 
 
-def test_criterion_7_determinism_and_speed(desk_maps, tmp_path, capsys):
+def test_criterion_7_determinism_and_speed(desk_maps, tmp_path):
     _, _, elapsed = desk_maps
     blobs = {}
-    for tag, threads in (("t1", "1"), ("t4", "4")):
-        d = tmp_path / tag
-        os.environ["KNU_THREADS"] = threads
-        try:
-            code = cli_main(
-                ["signmap", "--mode", "desk", "--y", "0.1,1,20",
-                 "--out-csv", str(d / "m_{y}.csv"), "--out-pgm", str(d / "m_{y}.pgm")]
-            )
-        finally:
-            os.environ.pop("KNU_THREADS", None)
-        capsys.readouterr()
-        assert code == 0
-        blobs[tag] = {
+    for width in (1, 4):
+        d = tmp_path / str(width)
+        jobs = [(y, str(d / f"m_{y:g}.csv"), str(d / f"m_{y:g}.pgm")) for y in (0.1, 1.0, 20.0)]
+        _write_maps(desk_grid(), jobs, width)
+        blobs[width] = {
             name: (d / name).read_bytes()
             for name in ("m_0.1.csv", "m_1.csv", "m_20.csv", "m_0.1.pgm", "m_1.pgm", "m_20.pgm")
         }
-    ok = blobs["t1"] == blobs["t4"] and elapsed < 5.0
+    ok = blobs[1] == blobs[4] and elapsed < 5.0
     assert _report(
         "7 signmap-determinism",
         ok,
-        f"byte-identical across thread counts; 3 desk maps in {elapsed:.2f}s (<5s)",
+        f"byte-identical across pool widths; 3 desk maps in {elapsed:.2f}s (<5s)",
     )
 
 

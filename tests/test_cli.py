@@ -1,6 +1,7 @@
 """CLI contract: output shapes, exit codes, JSON round-trips, file
 generation and determinism."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 import knugamma
 from knugamma import Params, errors, oracle_eval
-from knugamma.cli import _FNS, build_parser, main
+from knugamma.cli import _FNS, _write_maps, build_parser, main
 from knugamma.oracle import ORACLE_TARGETS
+from knugamma.signmap import desk_grid
 
 
 def run_cli(capsys, argv):
@@ -136,6 +138,18 @@ class TestEval:
         code, out, err = run_cli(capsys, ["eval"] + flags + limit)
         assert (code, out.splitlines()[0], err) == (0, "1e+50", "")
         assert run_cli(capsys, ["eval"] + flags)[1].splitlines() == ["1e+50", "log 115.12925465"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_recip_product_where_x_over_nu_underflows(self, capsys, fmt):
+        # x/nu = 5e-327 underflows to 0; ln x - ln nu does not, and
+        # 1/Gamma_{k,nu}(x) ~ x/c underflows to 0
+        argv = ["eval", "--fn", "gamma", "--oracle", "--target", "recip-product", "--k", "1e3",
+                "--nu", "1e3", "--x", "5e-324", "--n", "500", "--format", fmt]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv)
+        value = loads(out)["value"] if fmt == "json" else out.splitlines()[0]
+        assert (code, value, err) == (0, 0.0 if fmt == "json" else "0", "")
 
     @pytest.mark.parametrize(
         "argv",
@@ -336,14 +350,17 @@ class TestSignmapCommand:
         assert code == 2
 
     def test_pool_write_error_exit_2(self, tmp_path):
-        # several y jobs on a two-process pool; one job's target is a
-        # directory, so its worker raises OSError after writing the
-        # temp file
+        # several y jobs on a two-process pool, whatever the CPU count;
+        # one job's target is a directory, so its worker raises OSError
+        # after writing the temp file
         (tmp_path / "m_1.csv").mkdir()
-        env = dict(os.environ, KNU_THREADS="2",
-                   PYTHONPATH=os.path.dirname(os.path.dirname(knugamma.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(knugamma.__file__)))
+        two_wide = (
+            "import sys\nfrom knugamma import cli\nwrite = cli._write_maps\n"
+            "cli._write_maps = lambda spec, jobs: write(spec, jobs, 2)\nsys.exit(cli.main(sys.argv[1:]))"
+        )
         proc = subprocess.run(
-            [sys.executable, "-m", "knugamma.cli", "signmap", "--mode", "desk",
+            [sys.executable, "-c", two_wide, "signmap", "--mode", "desk",
              "--y", "0.1,1,20,5", "--out-csv", str(tmp_path / "m_{y}.csv"),
              "--out-pgm", str(tmp_path / "m_{y}.pgm")],
             capture_output=True, text=True, env=env, timeout=120,
@@ -383,25 +400,35 @@ class TestSignmapCommand:
         assert "finite" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path):
-        blobs = {}
-        for tag, threads in (("one", "1"), ("two", "2"), ("four", "4")):
-            d = tmp_path / tag
-            os.environ["KNU_THREADS"] = threads
-            try:
-                code, _, _ = run_cli(
-                    capsys,
-                    ["signmap", "--mode", "desk", "--y", "0.1,1,20",
-                     "--out-csv", str(d / "m_{y}.csv"), "--out-pgm", str(d / "m_{y}.pgm")],
-                )
-            finally:
-                os.environ.pop("KNU_THREADS", None)
-            assert code == 0
-            blobs[tag] = {
-                name: (d / name).read_bytes()
-                for name in ("m_0.1.csv", "m_1.csv", "m_20.csv", "m_0.1.pgm", "m_1.pgm", "m_20.pgm")
-            }
-        assert blobs["one"] == blobs["two"] == blobs["four"]
+    def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path, monkeypatch):
+        # the CLI at its default width, then one, two and four processes
+        # forced through _write_maps, which must fork a pool for the two
+        # wider runs whatever the CPU count
+        widths = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, width, **kwargs):
+                widths.append(width)
+                super().__init__(width, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        names = ("m_0.1.csv", "m_1.csv", "m_20.csv", "m_0.1.pgm", "m_1.pgm", "m_20.pgm")
+        code, _, _ = run_cli(
+            capsys,
+            ["signmap", "--mode", "desk", "--y", "0.1,1,20",
+             "--out-csv", str(tmp_path / "cli" / "m_{y}.csv"),
+             "--out-pgm", str(tmp_path / "cli" / "m_{y}.pgm")],
+        )
+        assert code == 0
+        blobs = {"cli": {name: (tmp_path / "cli" / name).read_bytes() for name in names}}
+        del widths[:]
+        for width in (1, 2, 4):
+            d = tmp_path / str(width)
+            jobs = [(y, str(d / f"m_{y:g}.csv"), str(d / f"m_{y:g}.pgm")) for y in (0.1, 1.0, 20.0)]
+            _write_maps(desk_grid(), jobs, width)
+            blobs[width] = {name: (d / name).read_bytes() for name in names}
+        assert widths == [2, 4]
+        assert blobs["cli"] == blobs[1] == blobs[2] == blobs[4]
 
 
 # knu eval's six fast paths and knu bounds, fed any float64 in every

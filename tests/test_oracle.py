@@ -1,6 +1,7 @@
 """Oracle evaluators against closed forms and the fast paths they are
 meant to police."""
 
+import ast
 import math
 
 import pytest
@@ -243,3 +244,18 @@ def test_one_pass_sums_match_two_passes(monkeypatch, p, x, n):
     monkeypatch.setattr(oracle, "_CHUNK", 8)
     assert oracle._gamma_limit(p, x, n) == _two_pass_limit(p, x, n)
     assert oracle._recip_product(p, x, n) == _two_pass_product(p, x, n)
+
+
+def test_oracle_imports_no_fast_path():
+    """The oracle shares no code with the fast paths it polices: of the
+    package it imports only constants, errors and params."""
+    with open(oracle.__file__) as fh:
+        tree = ast.parse(fh.read())
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute |= {alias.name for alias in node.names}
+    assert relative == {"constants", "errors", "params"}  # ``from . import x`` reads None
+    assert not [name for name in absolute if name.split(".")[0] == "knugamma"]

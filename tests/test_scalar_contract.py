@@ -1,12 +1,12 @@
 """The contract of the scalar engine, Params and the (k, nu) Gamma,
-zeta, polygamma, psi, Stirling and bound functions tested here, over
-every float64 argument, inf, nan and subnormals included: a finite
-double or a typed ScalarDomainError, never nan, inf, a bare
-OverflowError or a warning.  The ratio bounds and ``gamma_knu``'s
-``value`` saturate to inf by design, so there only nan is ruled out,
-and ``gamma_knu`` is held to a finite ``log_value``.  Referenced cases
-pin the psi, beta, Stirling and ratio-bound points where a term leaves
-the double range."""
+Beta, zeta, polygamma, psi, Stirling and bound functions and helpers
+tested here, over every float64 argument, inf, nan and subnormals
+included: a finite double or a typed ScalarDomainError, never nan,
+inf, a bare OverflowError or a warning.  The ratio bounds,
+``gamma_knu``'s ``value`` and ``param_transform`` saturate to inf by
+design, so there only nan is ruled out, and ``gamma_knu`` is held to a
+finite ``log_value``.  Referenced cases pin the psi, beta, Stirling,
+ratio-bound and helper points where a term leaves the double range."""
 
 import math
 import sys
@@ -23,8 +23,12 @@ from knugamma import (
     hurwitz_knu,
     log_beta_knu,
     log_gamma_knu,
+    param_transform,
+    pde_residuals,
+    pochhammer,
     polygamma_knu,
     psi_knu,
+    psi_shift_sum,
     ratio_bounds,
     scalar,
     stirling_approx,
@@ -194,6 +198,12 @@ def test_knu_infinite_argument_limits(fn, args, want):
         # (x/c - 1) ln r = 2e305 * ln 1e300 is beyond the double range
         (log_gamma_knu, (Params(1, 1e-300), 2e5)),
         (gamma_knu, (Params(1, 1e-300), 2e5)),
+        # a nan argument, or inf times the 0 of j = 0, makes a nan factor
+        (pochhammer, (math.nan, 2, 1.0)),
+        (pochhammer, (1.0, 2, math.inf)),
+        (psi_shift_sum, (Params(1, 1), 5e-324, 0)),  # 1/x overflows
+        # the stencil's h_x^2 overflows: x^2 d2x reads inf * 0
+        (pde_residuals, (Params(1, 1), 1e300)),
     ],
 )
 def test_knu_overflow(fn, args):
@@ -570,3 +580,75 @@ def test_polygamma_knu_zero(p, m, x):
 def test_polygamma_knu_overflow(p, m, x):
     with pytest.raises(Overflow):
         polygamma_knu(p, m, x)
+
+
+@CONTRACT
+@given(params_or_error(), ANY_FLOAT, ANY_FLOAT)
+@example(Params(6.566e70, 6.916e-69), 1.255e101, 1e308)
+@example(Params(1, 1), 1e300, 1e-300)
+@example(Params(1e100, 1e100), 1e-300, 1.0)
+def test_beta_knu(p, x, y):
+    if p is not None:
+        _finite_or_typed(log_beta_knu, p, x, y)
+        _finite_or_typed(beta_knu, p, x, y)
+
+
+@CONTRACT
+@given(ANY_FLOAT, st.integers(max_value=200), ANY_FLOAT)
+@example(math.nan, 2, 1.0)
+@example(1.0, -1, 1.0)
+@example(1.0, 2, math.inf)
+@example(1e300, 3, 1.0)
+def test_pochhammer(x, n, a):
+    _finite_or_typed(pochhammer, x, n, a)
+
+
+@CONTRACT
+@given(params_or_error(), ANY_FLOAT, st.integers(max_value=200))
+@example(Params(1, 1), 5e-324, 0)
+@example(Params(1, 1), 1.0, -1)
+@example(Params(1, 1), math.inf, 3)
+def test_psi_shift_sum(p, x, n):
+    if p is not None:
+        _finite_or_typed(psi_shift_sum, p, x, n)
+
+
+@CONTRACT
+@given(params_or_error(), ANY_FLOAT)
+@example(Params(1, 1), 1e300)
+@example(Params(1, 1), math.inf)
+def test_pde_residuals(p, x):
+    if p is not None:
+        _finite_or_typed(lambda *args: pde_residuals(*args).res_k, p, x)
+        _finite_or_typed(lambda *args: pde_residuals(*args).res_nu, p, x)
+
+
+@CONTRACT
+@given(params_or_error(), params_or_error(), ANY_FLOAT)
+@example(Params(1e150, 1e-150), Params(1e-150, 1e150), 1.0)
+@example(Params(1e-150, 1e150), Params(1e150, 1e-150), 2.0)
+@example(Params(1, 1), Params(1, 1), math.inf)
+def test_param_transform(from_p, to_p, x):
+    if from_p is None or to_p is None:
+        return
+    try:
+        value = param_transform(from_p, to_p, x)
+    except ScalarDomainError:
+        return
+    assert isinstance(value, float) and not math.isnan(value), (from_p, to_p, x, value)
+
+
+@pytest.mark.parametrize(
+    "from_p,to_p,x",
+    [
+        (Params(1e150, 1e-150), Params(1e-150, 1e150), 1.0),  # r_to / r_from = 1e-600 underflows
+        (Params(1e150, 1e-150), Params(1e-150, 1e150), 2.0),
+        (Params(1e-150, 1e150), Params(1e150, 1e-150), 0.5),  # r_to / r_from = 1e600 overflows
+        (Params(1e-100, 1e100), Params(1e54, 1e-54), 1.5),  # r_to / r_from = 1e308 is normal
+    ],
+)
+def test_param_transform_where_the_factor_leaves_the_normal_doubles(from_p, to_p, x):
+    """ln r_to - ln r_from carries the factor where r_to / r_from is not
+    a normal double; the result agrees with a direct evaluation at
+    (l, mu), up to the cancellation of logs near 1.4e3."""
+    assert param_transform(from_p, to_p, x) == pytest.approx(gamma_knu(to_p, x).value, rel=1e-12, abs=0.0)

@@ -220,6 +220,17 @@ class TestSerialization:
         assert (tmp_path / "b.txt").read_text() == "x\n"
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_write_atomic_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # setting the umask, even to put it back, changes it for every
+        # thread of the process in between
+        def umask(mask):
+            raise AssertionError(f"write_atomic set the umask to {mask:#o}")
+
+        monkeypatch.setattr(os, "umask", umask)
+        assert write_atomic(str(tmp_path / "a.txt"), ["x", "\n"]) == 2
+        assert (tmp_path / "a.txt").read_text() == "x\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
     def test_pgm_line_breaks_for_any_width(self):
         # widths around the 35-token line: every pixel kept in order,
         # every line <= 70 characters and newline-terminated
