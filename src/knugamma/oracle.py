@@ -393,6 +393,7 @@ def _gamma_limit(p: Params, x: float, n: int):
     import numpy as np
 
     c = p.c
+    u = x / c
 
     # ln[ m! c^m (m r)^(u-1) / (x)_{m,c} ] at m = n and m = n // 2; the
     # per-term form ln(j c / (x + (j-1) c)) keeps partial sums O(ln n), so
@@ -402,15 +403,20 @@ def _gamma_limit(p: Params, x: float, n: int):
         # the first term c/x overflows where x < c/DBL_MAX: its log is
         # taken as ln c - ln x there (errstate None leaves a setting as is)
         first_overflows = j0 == 1 and math.isinf(c / x)
-        with np.errstate(over="ignore" if first_overflows else None):
-            out = np.log(j * c / (x + (j - 1.0) * c))
+        flag = "ignore" if first_overflows else None
+        with np.errstate(over=flag, divide=flag):
+            if math.isinf(j1 * c) or math.isinf(x + (j1 - 1.0) * c):
+                # j c or x + (j-1) c overflows in this chunk (c near
+                # DBL_MAX): the same ratio as j / (x/c + j - 1)
+                out = np.log(j / (u + (j - 1.0)))
+            else:
+                out = np.log(j * c / (x + (j - 1.0) * c))
         if first_overflows:
             out[0] = math.log(c) - math.log(x)
         return out
 
     half_n = n // 2
     total, total_half = _sums(terms, n, half_n)
-    u = x / c
     lr = math.log(p.r)
     value = math.exp(total + (u - 1.0) * (math.log(n) + lr))
     half = math.exp(total_half + (u - 1.0) * (math.log(half_n) + lr))

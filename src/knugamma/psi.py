@@ -2,7 +2,8 @@
 
 Psi_{k,nu} is the log-derivative of the deformed Gamma; with c = k nu
 and r = k/nu it reduces to (ln r + psi(x/c))/c, and its m-th derivative
-to psi^(m)(x/c) / c^(m+1).
+to psi^(m)(x/c) / c^(m+1), which the engine's one polygamma series
+evaluates in scaled form for every x and c.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 from . import scalar
 from .errors import DomainWindow, NonPositiveArgument, Overflow, PoleHit
 from .gamma import log_gamma_knu
-from .constants import _MAX, _MIN_NORMAL
+from .constants import _MAX
 from .params import Params, Record
 
 __all__ = ["PdeResiduals", "psi_knu", "polygamma_knu", "psi_shift_sum", "pde_residuals"]
@@ -39,18 +40,6 @@ def polygamma_knu(p: Params, m: int, x: float) -> float:
     the double range raises ``Overflow``; x = inf gives the limit 0."""
     if not (x > 0.0):
         raise PoleHit(f"polygamma_knu requires x > 0, got x={x}")
-    u = x / p.c
-    try:
-        value = scalar.polygamma(m, u)
-        power = p.c ** (m + 1)
-    except (NonPositiveArgument, Overflow, OverflowError):  # u underflowed to 0, or a term overflows
-        pass
-    else:
-        # the plain quotient wherever both terms and it are normal doubles
-        if _MIN_NORMAL <= abs(value) and _MIN_NORMAL <= power <= _MAX:
-            quotient = value / power
-            if abs(quotient) <= _MAX:
-                return quotient
     return scalar._polygamma_scaled(m, x, p.c)
 
 
@@ -90,7 +79,7 @@ def pde_residuals(p: Params, x: float, step: float = 1e-4) -> PdeResiduals:
     """Evaluate both PDE residuals at (k, nu, x) with relative central
     steps ``step * max(1, |param|)`` per variable."""
     if not (step > 0.0):
-        raise ValueError(f"pde_residuals requires step > 0, got {step}")
+        raise DomainWindow(f"pde_residuals requires step > 0, got {step}")
     k, nu = p.k, p.nu
     h_k = step * max(1.0, abs(k))
     h_nu = step * max(1.0, abs(nu))

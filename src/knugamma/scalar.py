@@ -2,10 +2,12 @@
 Hurwitz zeta on the positive real axis.
 
 No numpy, no scipy: ln Gamma is the C library's ``lgamma`` (via
-``math.lgamma``), psi and its derivatives use upward recurrence plus
-Bernoulli asymptotics, and the zetas use Euler-Maclaurin with fixed
-effort caps.  The constant series coefficients are computed once, not
-per call.  All routines are pure and reentrant.
+``math.lgamma``), psi uses upward recurrence plus Bernoulli
+asymptotics, and the zetas use Euler-Maclaurin with fixed effort caps.
+Its derivatives have one series, ``_polygamma_scaled``, which gives
+psi^(m)(x/c) / c^(m+1) in scaled form: ``polygamma`` is c = 1 and
+``psi.polygamma_knu`` is c = k nu.  The constant series coefficients
+are computed once, not per call.  All routines are pure and reentrant.
 
 Every routine returns a finite double or raises a ``ScalarDomainError``
 subclass, for every float argument including inf, nan and subnormals.
@@ -13,7 +15,7 @@ subclass, for every float argument including inf, nan and subnormals.
 
 import math
 
-from .constants import _MIN_NORMAL, EULER_GAMMA
+from .constants import EULER_GAMMA
 from .errors import DivergentSeries, DomainWindow, NonPositiveArgument, Overflow
 
 __all__ = [
@@ -141,58 +143,29 @@ def digamma(x: float) -> float:
 
 def polygamma(m: int, x: float) -> float:
     """psi^(m)(x) = (-1)^(m+1) m! sum_{n>=0} (x+n)^-(m+1), for m >= 1,
-    x > 0.
+    x > 0: the scaled series below at c = 1.
 
     Raises DomainWindow for m < 1, NonPositiveArgument for x <= 0 or nan,
     and Overflow where the result exceeds double range (small x) or
     m > 150 (the order's series constants exceed it).  x = inf gives
     the limit 0.
     """
+    return _polygamma_scaled(m, x, 1.0)
+
+
+def _polygamma_scaled(m: int, x: float, c: float) -> float:
+    """psi^(m)(u) / c^(m+1) for u = x/c, the one polygamma series: also
+    where u, psi^(m)(u), c^(m+1) or their quotient leaves the normal
+    doubles.  It is s / (x^e c^(m+1-e)) with s = u^e |psi^(m)(u)|,
+    summed by upward recurrence and the Bernoulli asymptotic series
+    with u^e taken into each term: e = m+1 below u = 1 and e = m above
+    keep s between (m-1)! and about 2 m! for every u, 0 and inf
+    included, and x^e c^(m+1-e) is formed on binary mantissas and
+    exponents, so nothing over- or underflows before the last step."""
     if m < 1:
         raise DomainWindow(f"polygamma requires m >= 1, got {m}")
     if not (x > 0.0):
         raise NonPositiveArgument(f"polygamma requires x > 0, got {x}")
-    fact_m, fact_m1, coeffs = _polygamma_table(m)
-    sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
-    # Upward recurrence: psi^(m)(z) = psi^(m)(z+1) + (-1)^(m+1) m! z^-(m+1).
-    shift = _PSI_SHIFT + m
-    step = sign * fact_m
-    acc = 0.0
-    z = x
-    try:
-        while z < shift:
-            acc += step * z ** (-(m + 1))
-            z += 1.0
-    except OverflowError:
-        raise Overflow(f"polygamma({m}, {x}) exceeds double range") from None
-    # Asymptotic series ((-1)^(m-1) factor equals (-1)^(m+1) == sign):
-    # psi^(m)(z) ~ (-1)^(m-1) [ (m-1)!/z^m + m!/(2 z^(m+1))
-    #                + sum_j B_{2j} (2j+m-1)!/(2j)! z^-(2j+m) ].
-    inv = 1.0 / z
-    xm = inv**m
-    if xm < _MIN_NORMAL:  # z^-m has lost its low bits
-        return _polygamma_scaled(m, x, 1.0)
-    total = fact_m1 * xm + 0.5 * fact_m * xm * inv
-    inv2 = inv * inv
-    power = xm * inv2
-    for coeff in coeffs:
-        total += coeff * power
-        power *= inv2
-    result = acc + sign * total
-    if not math.isfinite(result):
-        raise Overflow(f"polygamma({m}, {x}) exceeds double range")
-    return result
-
-
-def _polygamma_scaled(m: int, x: float, c: float) -> float:
-    """psi^(m)(u) / c^(m+1) for u = x/c, also where u, psi^(m)(u),
-    c^(m+1) or their quotient leaves the normal doubles.  It is
-    s / (x^e c^(m+1-e)) with s = u^e |psi^(m)(u)|, summed by the
-    engine's recurrence and series with u^e taken into each term:
-    e = m+1 below u = 1 and e = m above keep s between (m-1)! and about
-    2 m! for every u, 0 and inf included, and x^e c^(m+1-e) is formed
-    on binary mantissas and exponents, so nothing over- or underflows
-    before the last step."""
     fact_m, fact_m1, coeffs = _polygamma_table(m)
     sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
     if x == math.inf:

@@ -237,12 +237,15 @@ def iter_signmap_pgm(sm: SignMap) -> Iterator[str]:
 
 def write_atomic(path: str, chunks: Iterable[str]) -> int:
     """Write via a temp file next to ``path`` + rename.  The temp file,
-    ``{path}.{16 random hex digits}.tmp``, is created exclusively with
-    mode 0o666, so the kernel takes the umask off and the file gets the
-    mode a plain ``open`` would give it.  Returns the number of
-    characters written (bytes, for the ASCII sign-map formats)."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    ``.{16 random hex digits}.tmp`` in the same directory, has a fixed
+    length, so any name the directory takes can be the target.  It is
+    created exclusively with mode 0o666, so the kernel takes the umask
+    off and the file gets the mode a plain ``open`` would give it.
+    Returns the number of characters written (bytes, for the ASCII
+    sign-map formats)."""
+    folder = os.path.dirname(os.path.abspath(path))
+    os.makedirs(folder, exist_ok=True)
+    tmp = os.path.join(folder, f".{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:

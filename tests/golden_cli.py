@@ -10,6 +10,9 @@ recorded.
 
     python tests/golden_cli.py --update    # rewrite golden_cli.json
 
+``--update`` first prints each command line whose exit code or digest
+differs from the file, so a rewrite names what it changes.
+
 The lines cover ``knu check --suite all`` (text and JSON, four grids),
 ``knu eval`` on the six fast paths and the eleven oracle targets (text
 and JSON, two (k, nu)), ``knu bounds`` at the README example and the
@@ -157,11 +160,30 @@ def load():
         return json.load(fh)
 
 
+def changes(old, new):
+    """One line per command line whose exit code or digests differ
+    between two lists of records, or that only one of them has."""
+    before = {tuple(r["argv"]): r for r in old}
+    after = {tuple(r["argv"]): r for r in new}
+    out = []
+    for argv, r in after.items():
+        was = before.get(argv)
+        if was is None:
+            out.append(f"added: {' '.join(argv)}")
+        elif was != r:
+            fields = ", ".join(f for f in ("code", "stdout", "stderr") if was[f] != r[f])
+            out.append(f"changed ({fields}): {' '.join(argv)}")
+    out += [f"removed: {' '.join(argv)}" for argv in before if argv not in after]
+    return out
+
+
 def main(argv):
     if argv != ["--update"]:
         sys.stderr.write(__doc__)
         return 2
     records = [run(case) for case in cases()]
+    for line in changes(load() if os.path.exists(GOLDEN) else [], records):
+        print(line)
     with open(GOLDEN, "w") as fh:
         fh.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
     print(f"wrote {len(records)} digests to {GOLDEN}")

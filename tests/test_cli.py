@@ -151,6 +151,31 @@ class TestEval:
         value = loads(out)["value"] if fmt == "json" else out.splitlines()[0]
         assert (code, value, err) == (0, 0.0 if fmt == "json" else "0", "")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_gamma_limit_where_j_c_overflows(self, capsys, fmt):
+        # c = 1e308: j c overflows from j = 2, the ratio j/(x/c + j - 1)
+        # does not; the fast path gives 1e+308 at the same point
+        argv = ["eval", "--fn", "gamma", "--oracle", "--target", "gamma-limit", "--k", "1e154",
+                "--nu", "1e154", "--x", "1", "--n", "500", "--format", fmt]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv)
+        if fmt == "json":
+            got = loads(out)
+            assert (got["value"], got["converged"]) == (1.0000000000000136e308, True)
+        else:
+            assert out.splitlines()[0] == "1e+308" and "converged true" in out.splitlines()
+        assert (code, err) == (0, "")
+
+    def test_gamma_limit_where_x_plus_j_c_overflows(self, capsys):
+        # x + c overflows at j = 2, where j c does not; Gamma_{k,nu}(x)
+        # is beyond the double range (ln of it is 3.2e9), not 0
+        argv = ["eval", "--fn", "gamma", "--oracle", "--target", "gamma-limit", "--k", "1e150",
+                "--nu", "1e150", "--x", "1.7976931348623157e308", "--n", "500"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(capsys, argv) == (2, "", "Overflow\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -7,6 +7,7 @@ import pytest
 
 from knugamma import (
     EULER_GAMMA,
+    DomainWindow,
     Params,
     PoleHit,
     log_gamma_knu,
@@ -133,6 +134,11 @@ class TestPdeResiduals:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             pde_residuals(Params(1, 1), 1.0, step=0.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+    def test_bad_step_is_a_typed_error(self, step):
+        with pytest.raises(DomainWindow):
+            pde_residuals(Params(1, 1), 1.0, step=step)
 
 
 def _pg(p, order, x):

@@ -231,6 +231,12 @@ class TestSerialization:
         assert (tmp_path / "a.txt").read_text() == "x\n"
         assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
+    def test_write_atomic_to_a_255_character_name(self, tmp_path):
+        # the temp name must not be longer than the longest target name
+        name = "m" * 251 + ".csv"
+        assert write_atomic(str(tmp_path / name), ["x", "\n"]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
     def test_pgm_line_breaks_for_any_width(self):
         # widths around the 35-token line: every pixel kept in order,
         # every line <= 70 characters and newline-terminated
