@@ -3,14 +3,17 @@ bound reports, and sign-map file generation.
 
 Exit codes: 0 success, 1 check-suite failure, 2 domain or
 configuration error (the typed error name goes to stderr).  All
-commands are deterministic for fixed flags.  Every y's sign map is
-computed in the calling process before any file is written; the files
-are then written by a pool of forked worker processes, one y per job,
-which recompute the log terms as they stream.  The pool has one process
-per CPU this process may run on, at most one per y.  Output is
-byte-identical whatever the process count.  A single y, a single CPU, a
-platform without the fork start method, or a caller with other threads
-running, runs serially in-process.
+commands are deterministic for fixed flags.
+
+``check`` and ``signmap`` run their items (the checks of the suite,
+the y maps to write) through one helper, ``_fork.fork_map``.  The
+calling process is one of its processes, one per CPU this process may
+run on and at most one per item; it forks the others and always runs
+item 0 itself.  Every y's sign map is computed in the calling process before
+any file is written; the writers recompute the log terms as they
+stream.  Output is byte-identical whatever the process count.  A
+single item, a single CPU, a platform without fork, or a caller with
+other threads running, runs serially in-process.
 
 numpy, the sign-map module, the check suites, the oracle and json are
 imported by the commands that use them (``signmap``, ``check``,
@@ -23,7 +26,6 @@ from their modules when argparse first consults them.
 import argparse
 import importlib
 import math
-import os
 import re
 import sys
 import time
@@ -137,6 +139,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from . import checks
+    from ._fork import fork_map
 
     knu_values = checks.GRID_KNU
     if args.grid:
@@ -148,7 +151,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if not knu_values or any(v <= 0 for v in knu_values):
             sys.stderr.write("--grid values must be positive\n")
             return 2
-    results = checks.run_suite(args.suite, tol=args.tol, knu_values=knu_values)
+    results = checks.run_suite(args.suite, tol=args.tol, knu_values=knu_values, map_fn=fork_map)
     if args.format == "json":
         _emit_json([vars(r) for r in results])
     else:
@@ -192,7 +195,7 @@ def _timed(chunks: Iterable[str], stage: str, seconds: Dict[str, float]) -> Iter
 
 
 def _write_map(sm: "SignMap", csv_path: str, pgm_path: str) -> dict:
-    """Write one y's CSV and PGM; runs in a pool worker or inline.
+    """Write one y's CSV and PGM, in whichever process claims the y.
     Returns the job's stats: thread-CPU seconds of CSV formatting, PGM
     formatting and the rest of the writing, the cell count and the file
     sizes."""
@@ -211,16 +214,14 @@ def _write_maps(
 ) -> List[dict]:
     """The stats of each (y, csv_path, pgm_path) job, in job order.
     Every y's map is computed here before any file is written, so a y
-    whose log terms overflow leaves no file behind.  Then, with a
-    ``width`` above one, the fork start method available and no other
-    thread running, a pool of ``width`` processes writes the files, one
-    y per job; otherwise they are written here.  The default width is
-    the number of CPUs this process may run on, at most one per job."""
+    whose log terms overflow leaves no file behind.  Then ``fork_map``
+    writes the files, one y per item, at ``width`` processes (by default
+    one per CPU this process may run on, at most one per y): this one,
+    which writes the first y, and the children it forks, or this one
+    alone where ``fork_map`` runs serially.  The files are the same
+    whatever the width."""
+    from ._fork import fork_map
     from .signmap import grid_signmap
-
-    if width is None:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        width = min(cpus, len(jobs))
 
     ys, csv_paths, pgm_paths = zip(*jobs)
     maps, computed = [], []
@@ -228,19 +229,7 @@ def _write_maps(
         t0 = time.thread_time()
         maps.append(grid_signmap(spec, y))
         computed.append({"y": y, "compute_s": time.thread_time() - t0})
-    import multiprocessing
-    import threading
-
-    # fork copies only the calling thread: a lock held by another
-    # thread would stay locked in the workers
-    if width == 1 or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        written = list(map(_write_map, maps, csv_paths, pgm_paths))
-    else:
-        import concurrent.futures
-
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(width, mp_context=context) as pool:
-            written = list(pool.map(_write_map, maps, csv_paths, pgm_paths))
+    written = fork_map(lambda job: _write_map(*job), zip(maps, csv_paths, pgm_paths), width)
     return [dict(stats, **job_stats) for stats, job_stats in zip(computed, written)]
 
 

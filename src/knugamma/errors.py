@@ -16,6 +16,11 @@ class ScalarDomainError(ValueError):
         self.detail = detail
         super().__init__(f"{self.kind}: {detail}" if detail else self.kind)
 
+    def __reduce__(self):
+        # rebuilt from the detail __init__ took: the default passes the
+        # formatted message, which would gain a second kind prefix
+        return type(self), (self.detail,)
+
 
 class NonPositiveArgument(ScalarDomainError):
     kind = "NonPositiveArgument"

@@ -50,7 +50,11 @@ def psi_shift_sum(p: Params, x: float, n: int) -> float:
         raise PoleHit(f"psi_shift_sum requires x > 0, got x={x}")
     if n < 0:
         raise DomainWindow(f"psi_shift_sum requires n >= 0, got {n}")
-    total = sum(1.0 / (x + j * p.c) for j in range(n + 1))
+    # left to right: the builtin sum() compensates its rounding since
+    # Python 3.12, so its last bits would depend on the Python version
+    total = 0.0
+    for j in range(n + 1):
+        total += 1.0 / (x + j * p.c)
     if total > _MAX:  # 1/x overflows where x < 1/DBL_MAX
         raise Overflow(f"psi_shift_sum({p.k}, {p.nu}, {x}, {n}) exceeds double range")
     return total

@@ -19,6 +19,7 @@ and JSON, two (k, nu)), ``knu bounds`` at the README example and the
 recorded edge cases, and the exit-2 cases.  ``--stats`` timings and
 cases that print a traceback are left out.  A line that raises a
 warning is refused: its stderr would depend on the warning filters.
+So is a line that leaves a file behind or a child process unreaped.
 """
 
 import contextlib
@@ -144,6 +145,12 @@ def run(argv):
             else:
                 os.environ["COLUMNS"] = columns
         left = os.listdir(tmp)
+    try:
+        child = os.waitpid(-1, os.WNOHANG)  # (0, 0) if a child still runs
+    except ChildProcessError:
+        child = None
+    if child is not None:
+        raise AssertionError(f"{argv} left a child process unreaped: {child}")
     if caught:
         raise AssertionError(f"{argv} warned: {[str(w.message) for w in caught]}")
     if left:

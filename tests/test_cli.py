@@ -1,14 +1,16 @@
 """CLI contract: output shapes, exit codes, JSON round-trips, file
 generation and determinism."""
 
-import concurrent.futures
 import contextlib
+import functools
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knugamma
-from knugamma import Params, errors, oracle_eval
+from knugamma import Params, _fork, errors, oracle_eval
+from knugamma._fork import fork_map
 from knugamma.cli import _FNS, _write_maps, build_parser, main
 from knugamma.oracle import ORACLE_TARGETS
 from knugamma.signmap import desk_grid
@@ -427,16 +430,9 @@ class TestSignmapCommand:
 
     def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path, monkeypatch):
         # the CLI at its default width, then one, two and four processes
-        # forced through _write_maps, which must fork a pool for the two
-        # wider runs whatever the CPU count
-        widths = []
-
-        class Pool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, width, **kwargs):
-                widths.append(width)
-                super().__init__(width, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        # forced through _write_maps, which must fork width - 1 children
+        # for the two wider runs whatever the CPU count
+        forks = _count_forks(monkeypatch)
         names = ("m_0.1.csv", "m_1.csv", "m_20.csv", "m_0.1.pgm", "m_1.pgm", "m_20.pgm")
         code, _, _ = run_cli(
             capsys,
@@ -446,14 +442,177 @@ class TestSignmapCommand:
         )
         assert code == 0
         blobs = {"cli": {name: (tmp_path / "cli" / name).read_bytes() for name in names}}
-        del widths[:]
+        counts = []
         for width in (1, 2, 4):
+            del forks[:]
             d = tmp_path / str(width)
             jobs = [(y, str(d / f"m_{y:g}.csv"), str(d / f"m_{y:g}.pgm")) for y in (0.1, 1.0, 20.0)]
             _write_maps(desk_grid(), jobs, width)
+            counts.append(len(forks))
             blobs[width] = {name: (d / name).read_bytes() for name in names}
-        assert widths == [2, 4]
+        assert counts == [0, 1, 3]
         assert blobs["cli"] == blobs[1] == blobs[2] == blobs[4]
+
+
+def _count_forks(monkeypatch):
+    """A list that gains one entry at each os.fork in this process."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _logged(log, index):
+    """Append "index pid" to the file ``log``; one write per line, so
+    lines from several processes do not interleave."""
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, f"{index} {os.getpid()}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def _runs(log):
+    """{index: [pid, ...]} of every run ``_logged`` recorded."""
+    runs = {}
+    for line in log.read_text().splitlines():
+        index, pid = map(int, line.split())
+        runs.setdefault(index, []).append(pid)
+    return runs
+
+
+def _slow_first(fn):
+    """``fn`` that waits a while on item 0, which the caller runs, so the
+    children claim the other items."""
+
+    def wrapped(i):
+        if i == 0:
+            time.sleep(0.3)
+        return fn(i)
+
+    return wrapped
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("grid", [(), ("--grid", "1e-100")], ids=["default", "1e-100"])
+    @pytest.mark.parametrize("fmt", [(), ("--format", "json")], ids=["text", "json"])
+    def test_check_bytes_identical_at_every_width(self, capsys, monkeypatch, grid, fmt):
+        forks = _count_forks(monkeypatch)
+        argv = ["check", "--suite", "all", *grid, *fmt]
+        outputs, counts = [], []
+        for width in (1, 2, 4):
+            del forks[:]
+            monkeypatch.setattr(_fork, "fork_map", functools.partial(fork_map, width=width))
+            outputs.append(run_cli(capsys, argv))
+            counts.append(len(forks))
+        assert counts == [0, 1, 3]
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][2] == ""
+        _no_child_left()
+
+    def test_item_zero_runs_in_the_caller(self):
+        assert fork_map(lambda i: (i, os.getpid()), range(6), 4)[0] == (0, os.getpid())
+        _no_child_left()
+
+    def test_results_in_item_order_each_item_once(self, tmp_path):
+        # more processes than cores, contending for the shared counter:
+        # an index claimed twice or never shows in the log
+        log = tmp_path / "runs"
+
+        def square(i):
+            _logged(log, i)
+            return i * i
+
+        assert fork_map(square, range(300), 8) == [i * i for i in range(300)]
+        runs = _runs(log)
+        assert sorted(runs) == list(range(300))
+        assert all(len(pids) == 1 for pids in runs.values())
+        assert runs[0] == [os.getpid()]
+        _no_child_left()
+
+    def test_lowest_failing_index_raised_after_every_item(self, tmp_path):
+        log = tmp_path / "runs"
+
+        def item(i):
+            _logged(log, i)
+            if i in (3, 5):
+                raise errors.Overflow(f"item {i}")
+            return i
+
+        with pytest.raises(errors.Overflow) as raised:
+            fork_map(_slow_first(item), range(8), 3)
+        assert str(raised.value) == "Overflow: item 3"
+        runs = _runs(log)
+        assert sorted(runs) == list(range(8))
+        assert runs[3] != [os.getpid()]  # raised in a child
+        _no_child_left()
+
+    def test_child_warnings_reach_the_caller(self, tmp_path):
+        log = tmp_path / "runs"
+
+        def item(i):
+            _logged(log, i)
+            warnings.warn(f"item {i}", UserWarning)
+            return i
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert fork_map(_slow_first(item), range(4), 2) == [0, 1, 2, 3]
+        assert sorted(str(w.message) for w in caught) == [f"item {i}" for i in range(4)]
+        assert all(w.category is UserWarning for w in caught)
+        assert set(_runs(log)[1]) != {os.getpid()}  # warned in a child
+        _no_child_left()
+
+    def test_child_that_dies_loses_its_items(self):
+        # the child runs item 1, then claims item 2 and ends: both are
+        # lost, since a child sends its results only at its end
+        caller = os.getpid()
+
+        def item(i):
+            if i == 2 and os.getpid() != caller:
+                os._exit(3)
+            return i
+
+        with pytest.raises(RuntimeError, match=r"items \[1, 2\]"):
+            fork_map(_slow_first(item), range(4), 2)
+        _no_child_left()
+
+    def test_failed_fork_leaves_the_items_to_those_started(self, monkeypatch):
+        forks, fork = [], os.fork
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        assert fork_map(lambda i: i * i, range(20), 4) == [i * i for i in range(20)]
+        assert forks == [1]
+        _no_child_left()
+
+    def test_serial_where_one_wide_or_other_threads_run(self, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        here = [(i, os.getpid()) for i in range(5)]
+        assert fork_map(lambda i: (i, os.getpid()), range(5), 1) == here
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(10,))
+        thread.start()
+        try:
+            assert fork_map(lambda i: (i, os.getpid()), range(5), 4) == here
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not forks and not thread.is_alive()
 
 
 # knu eval's six fast paths and knu bounds, fed any float64 in every

@@ -1,7 +1,8 @@
-"""numpy, json, the sign-map module, the check suites and the oracle are
-loaded only by the code that uses them: importing the package or the
-CLI, and the ``knu eval`` and ``knu bounds`` commands, leave them
-unloaded, and load neither dataclasses nor inspect.  The package still
+"""numpy, json, the sign-map module, the check suites, the oracle and
+the fork helper (with pickle) are loaded only by the code that uses
+them: importing the package or the CLI, and the ``knu eval`` and
+``knu bounds`` commands, leave them unloaded, and load neither
+dataclasses nor inspect.  The package still
 resolves every public name and submodule on first access, and the CLI
 still rejects an unknown suite or oracle target by name."""
 
@@ -35,7 +36,7 @@ LAYERS = (
 def test_scalar_paths_load_no_numpy(code):
     unloaded = (
         "numpy", "json", "knugamma.signmap", "knugamma.checks", "knugamma.oracle",
-        "dataclasses", "inspect",
+        "knugamma._fork", "pickle", "dataclasses", "inspect",
     )
     probe = code + f"\nimport sys\nprint([m for m in {unloaded!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=SRC)

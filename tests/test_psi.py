@@ -78,6 +78,20 @@ class TestShiftSum:
                     want = psi_knu(p, x + (n + 1) * p.c) - psi_knu(p, x)
                     assert _rel(got, want) <= 1e-11
 
+    @pytest.mark.parametrize(
+        "k,nu,x,n", [(1, 1, 0.4, 1000), (0.5, 3, 1.1, 200), (2, 3, 2.5, 50), (1, 1, 1e-3, 10)]
+    )
+    def test_sums_left_to_right(self, k, nu, x, n):
+        # points where a compensated sum (math.fsum, or the builtin sum()
+        # since Python 3.12) rounds differently, so the check's max_dev
+        # stays the same on every Python version
+        p = Params(k, nu)
+        terms = [1.0 / (x + j * p.c) for j in range(n + 1)]
+        total = 0.0
+        for term in terms:
+            total += term
+        assert psi_shift_sum(p, x, n) == total != math.fsum(terms)
+
 
 class TestPsiIdentities:
     def test_reflection(self):
