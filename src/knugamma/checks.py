@@ -896,13 +896,14 @@ def run_suite(
     suite: str,
     tol: Optional[float] = None,
     knu_values: Sequence[float] = GRID_KNU,
-    map_fn: Callable = map,
 ) -> List[CheckResult]:
     """Every check of ``suite`` on the (k, nu) grid ``knu_values`` x
-    ``knu_values``, in suite order; ``map_fn`` runs the checks (the CLI
-    passes one that spreads them over processes)."""
+    ``knu_values``, in suite order, spread by ``_fork.fork_map`` over
+    one process per CPU; the results do not depend on the count."""
+    from ._fork import fork_map
+
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     params = [Params(k, nu) for k in knu_values for nu in knu_values]
     grid = _Grid(params=params, xs=GRID_X, tol_override=tol)
-    return list(map_fn(lambda check: check(grid), SUITES[suite]))
+    return fork_map(lambda check: check(grid), SUITES[suite])

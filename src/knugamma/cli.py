@@ -5,15 +5,16 @@ Exit codes: 0 success, 1 check-suite failure, 2 domain or
 configuration error (the typed error name goes to stderr).  All
 commands are deterministic for fixed flags.
 
-``check`` and ``signmap`` run their items (the checks of the suite,
-the y maps to write) through one helper, ``_fork.fork_map``.  The
-calling process is one of its processes, one per CPU this process may
-run on and at most one per item; it forks the others and always runs
-item 0 itself.  Every y's sign map is computed in the calling process before
-any file is written; the writers recompute the log terms as they
-stream.  Output is byte-identical whatever the process count.  A
-single item, a single CPU, a platform without fork, or a caller with
-other threads running, runs serially in-process.
+``check`` (through ``checks.run_suite``) and ``signmap`` run their
+items (the checks of the suite, the y maps to write) through one
+helper, ``_fork.fork_map``.  The calling process is one of its
+processes, one per CPU this process may run on and at most one per
+item; it forks the others and always runs item 0 itself.  Every y's
+sign map is computed in the calling process before any file is
+written; the writers recompute the log terms as they stream.  Output
+is byte-identical whatever the process count.  A single item, a single
+CPU, a platform without fork, or a caller with other threads running,
+runs serially in-process.
 
 numpy, the sign-map module, the check suites, the oracle and json are
 imported by the commands that use them (``signmap``, ``check``,
@@ -139,7 +140,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from . import checks
-    from ._fork import fork_map
 
     knu_values = checks.GRID_KNU
     if args.grid:
@@ -151,7 +151,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if not knu_values or any(v <= 0 for v in knu_values):
             sys.stderr.write("--grid values must be positive\n")
             return 2
-    results = checks.run_suite(args.suite, tol=args.tol, knu_values=knu_values, map_fn=fork_map)
+    results = checks.run_suite(args.suite, tol=args.tol, knu_values=knu_values)
     if args.format == "json":
         _emit_json([vars(r) for r in results])
     else:

@@ -7,10 +7,10 @@ import io
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import pytest
@@ -490,16 +490,24 @@ def _runs(log):
     return runs
 
 
-def _slow_first(fn):
-    """``fn`` that waits a while on item 0, which the caller runs, so the
-    children claim the other items."""
+@contextlib.contextmanager
+def _caller_waits_for(j, fn):
+    """``fn`` whose item 0, which the caller runs, waits until item ``j``
+    has started, so the children claim items 1 to ``j`` between them."""
+    gate, gate_end = os.pipe()
 
     def wrapped(i):
-        if i == 0:
-            time.sleep(0.3)
+        if i == j:
+            os.write(gate_end, b"x")
+        elif i == 0:
+            assert select.select([gate], [], [], 60)[0], f"item {j} never started"
         return fn(i)
 
-    return wrapped
+    try:
+        yield wrapped
+    finally:
+        os.close(gate)
+        os.close(gate_end)
 
 
 class TestForkMap:
@@ -524,7 +532,8 @@ class TestForkMap:
         _no_child_left()
 
     def test_results_in_item_order_each_item_once(self, tmp_path):
-        # more processes than cores, contending for the shared counter:
+        # more processes than cores, contending for the shared queue, and
+        # more items than its records, so each record claims several:
         # an index claimed twice or never shows in the log
         log = tmp_path / "runs"
 
@@ -532,9 +541,9 @@ class TestForkMap:
             _logged(log, i)
             return i * i
 
-        assert fork_map(square, range(300), 8) == [i * i for i in range(300)]
+        assert fork_map(square, range(1500), 8) == [i * i for i in range(1500)]
         runs = _runs(log)
-        assert sorted(runs) == list(range(300))
+        assert sorted(runs) == list(range(1500))
         assert all(len(pids) == 1 for pids in runs.values())
         assert runs[0] == [os.getpid()]
         _no_child_left()
@@ -548,8 +557,8 @@ class TestForkMap:
                 raise errors.Overflow(f"item {i}")
             return i
 
-        with pytest.raises(errors.Overflow) as raised:
-            fork_map(_slow_first(item), range(8), 3)
+        with _caller_waits_for(3, item) as gated, pytest.raises(errors.Overflow) as raised:
+            fork_map(gated, range(8), 3)
         assert str(raised.value) == "Overflow: item 3"
         runs = _runs(log)
         assert sorted(runs) == list(range(8))
@@ -564,9 +573,9 @@ class TestForkMap:
             warnings.warn(f"item {i}", UserWarning)
             return i
 
-        with warnings.catch_warnings(record=True) as caught:
+        with _caller_waits_for(1, item) as gated, warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert fork_map(_slow_first(item), range(4), 2) == [0, 1, 2, 3]
+            assert fork_map(gated, range(4), 2) == [0, 1, 2, 3]
         assert sorted(str(w.message) for w in caught) == [f"item {i}" for i in range(4)]
         assert all(w.category is UserWarning for w in caught)
         assert set(_runs(log)[1]) != {os.getpid()}  # warned in a child
@@ -582,8 +591,8 @@ class TestForkMap:
                 os._exit(3)
             return i
 
-        with pytest.raises(RuntimeError, match=r"items \[1, 2\]"):
-            fork_map(_slow_first(item), range(4), 2)
+        with _caller_waits_for(2, item) as gated, pytest.raises(RuntimeError, match=r"items \[1, 2\]"):
+            fork_map(gated, range(4), 2)
         _no_child_left()
 
     def test_failed_fork_leaves_the_items_to_those_started(self, monkeypatch):
@@ -604,6 +613,8 @@ class TestForkMap:
         forks = _count_forks(monkeypatch)
         here = [(i, os.getpid()) for i in range(5)]
         assert fork_map(lambda i: (i, os.getpid()), range(5), 1) == here
+        assert fork_map(lambda i: (i, os.getpid()), range(1), 4) == here[:1]
+        assert fork_map(lambda i: (i, os.getpid()), range(0), 4) == []
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, args=(10,))
         thread.start()
