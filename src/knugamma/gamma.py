@@ -60,7 +60,7 @@ def log_gamma_knu(p: Params, x: float) -> float:
 def gamma_knu(p: Params, x: float) -> GammaValue:
     """Gamma_{k,nu}(x) for x > 0, in both linear and log form."""
     log_value = log_gamma_knu(p, x)
-    return GammaValue(log_value=log_value, value=_exp_sat(log_value))
+    return GammaValue(log_value, _exp_sat(log_value))
 
 
 def pochhammer(x: float, n: int, a: float) -> float:

@@ -3,7 +3,10 @@ Hurwitz zeta on the positive real axis.
 
 No numpy, no scipy: ln Gamma is the C library's ``lgamma`` (via
 ``math.lgamma``), psi uses upward recurrence plus Bernoulli
-asymptotics, and the zetas use Euler-Maclaurin with fixed effort caps.
+asymptotics, and the zetas share one Euler-Maclaurin series,
+``_zeta_series``: it sums (q+n)^-s directly only until the base q + n
+reaches _ZETA_BASE + s (none where q is already there), then adds the
+integral, the half term and 12 Bernoulli terms in Horner form.
 Its derivatives have one series, ``_polygamma_scaled``, which gives
 psi^(m)(x/c) / c^(m+1) in scaled form: ``polygamma`` is c = 1 and
 ``psi.polygamma_knu`` is c = k nu.  The constant series coefficients
@@ -49,27 +52,33 @@ _BERNOULLI_EVEN = (
 # psi/polygamma: shift the argument above this before switching to the
 # Bernoulli asymptotic series.
 _PSI_SHIFT = 10.0
-# Euler-Maclaurin effort caps (deterministic, not adaptive).
-_ZETA_BASE_TERMS = 25
+# Euler-Maclaurin: the direct sum shifts q until the base b = q + n
+# reaches _ZETA_BASE + s, where successive Bernoulli terms fall by about
+# ((s+2k)/(2 pi b))^2, below 1/3 for all 12; at most _ZETA_MAX_TERMS
+# direct terms, a cap that binds only above s = 200, where the tail
+# beyond them is below e^-200 of the first term.
+_ZETA_BASE = 6.0
+_ZETA_MAX_TERMS = 206
 _ZETA_BERNOULLI_TERMS = 12
 
 # digamma's asymptotic coefficients B_{2n}/(2n), n = 1..7.
 _DIGAMMA_COEFFS = tuple(_BERNOULLI_EVEN[n - 1] / (2 * n) for n in range(1, 8))
 
 
-def _em_coeffs():
-    """(B_2k/(2k)!, 2k) for k = 1.._ZETA_BERNOULLI_TERMS, with (2k)!
-    accumulated as a running double product (rounded at each step, so it
-    is not always float((2k)!))."""
-    out = []
+def _em_horner():
+    """(C_k, 2k - 1, 2k) for k = _ZETA_BERNOULLI_TERMS - 1 .. 1, the
+    Horner steps of ``_em_sum``, with C_k = B_2k/(2k)! and (2k)!
+    accumulated as a running double product (rounded at each step, so
+    it is not always float((2k)!)); and C_12, the innermost constant."""
+    coeffs = []
     fact = 2.0
     for k in range(1, _ZETA_BERNOULLI_TERMS + 1):
-        out.append((_BERNOULLI_EVEN[k - 1] / fact, float(2 * k)))
+        coeffs.append((_BERNOULLI_EVEN[k - 1] / fact, float(2 * k - 1), float(2 * k)))
         fact *= (2 * k + 1) * (2 * k + 2)
-    return tuple(out)
+    return tuple(reversed(coeffs[:-1])), coeffs[-1][0]
 
 
-_EM_COEFFS = _em_coeffs()
+_EM_HORNER, _EM_LAST = _em_horner()
 
 # polygamma's constants per order m, filled on first use of each m:
 # (m!, (m-1)!, B_{2j} (2j+m-1)!/(2j)! for j = 1..10) as doubles.
@@ -209,45 +218,61 @@ def _polygamma_scaled(m: int, x: float, c: float) -> float:
     return value if value else 0.0  # an underflow reads 0.0, as the x = inf limit
 
 
-def _em_tail(s: float, base: float) -> float:
-    """Euler-Maclaurin correction sum_{k} B_2k/(2k)! (s)_{2k-1} base^(-s-2k+1)."""
-    total = 0.0
-    rising = s  # (s)_1
-    power = base ** (-s - 1.0)
-    inv2 = 1.0 / (base * base)
-    for coeff, two_k in _EM_COEFFS:
-        # Once the power underflows every later term is zero; stopping
-        # here also keeps an overflowing (s)_{2k-1} (huge s) from
-        # turning 0 * inf into nan.
-        if power == 0.0:
-            break
-        total += coeff * rising * power
-        # (s)_{2k-1} -> (s)_{2k+1}; s + 2k - 1 is rounded as (s + 2k) - 1
-        t = s + two_k
-        rising *= (t - 1.0) * t
-        power *= inv2
-    return total
+def _zeta_terms(s: float, q: float) -> int:
+    """How many direct terms (q+n)^-s, n = 0, 1, ..., the zeta series
+    takes: enough to bring the base q + n to _ZETA_BASE + s, at most
+    _ZETA_MAX_TERMS, and none where q is there already."""
+    gap = _ZETA_BASE + s - q
+    return math.ceil(min(gap, _ZETA_MAX_TERMS)) if gap > 0.0 else 0
+
+
+def _em_sum(s: float, base: float) -> float:
+    """sum_{k=1..12} B_2k/(2k)! (s)_{2k-1} base^(1-2k), the Bernoulli
+    terms of Euler-Maclaurin relative to base^(1-s), in Horner form:
+    s/base (C_1 + f_1 (C_2 + f_2 (... + f_11 C_12))) with
+    C_k = B_2k/(2k)! and f_k = (s+2k-1)(s+2k)/base^2.  Each factor of
+    f_k is divided by base first, so s and base may both be huge;
+    s/base must not be (the terms then diverge)."""
+    inv = 1.0 / base
+    acc = _EM_LAST
+    for coeff, odd, even in _EM_HORNER:
+        acc = coeff + (s + odd) * inv * ((s + even) * inv) * acc
+    return s * inv * acc
+
+
+def _zeta_series(s: float, q: float) -> float:
+    """sum_{n>=0} (q+n)^-s for s > 1 and q > 0, the series of both
+    zetas: the direct terms of ``_zeta_terms``, in ascending magnitude,
+    then at the base b = q + N the tail
+    b^(1-s) (1/(s-1) + (1/2 + ``_em_sum``)/b).  b is at least 7, so
+    b^(1-s) never overflows; where it underflows (s = inf, or s ln b
+    beyond the double range) the tail is below every double and is not
+    evaluated, which also keeps an overflowing Horner sum at huge s out
+    of it.  A direct term beyond the double range (small q) raises
+    OverflowError."""
+    n_terms = _zeta_terms(s, q)
+    direct = 0.0
+    for n in range(n_terms - 1, -1, -1):
+        direct += (q + n) ** (-s)
+    base = q + n_terms
+    lead = base ** (1.0 - s)
+    if lead == 0.0:
+        return direct
+    return direct + (lead / (s - 1.0) + lead * (0.5 + _em_sum(s, base)) / base)
 
 
 def riemann_zeta(s: float) -> float:
-    """zeta(s) = sum_{n>=1} n^-s for s > 1, by Euler-Maclaurin with a
-    fixed direct-sum length and Bernoulli-term count.
+    """zeta(s) = sum_{n>=1} n^-s for s > 1: ``_zeta_series`` at q = 1.
 
     Raises DivergentSeries for s <= 1 or nan; s = inf gives the limit 1.
     """
     if not (s > 1.0):
         raise DivergentSeries(f"riemann_zeta requires s > 1, got {s}")
-    n_terms = _ZETA_BASE_TERMS + int(0.5 * min(s, 200.0))
-    direct = 0.0
-    for n in range(n_terms - 1, 0, -1):  # ascending magnitude
-        direct += float(n) ** (-s)
-    big_n = float(n_terms)
-    tail = big_n ** (1.0 - s) / (s - 1.0) + 0.5 * big_n ** (-s)
-    return direct + tail + _em_tail(s, big_n)
+    return _zeta_series(s, 1.0)
 
 
 def hurwitz_zeta(s: float, q: float) -> float:
-    """zeta(s, q) = sum_{n>=0} (q+n)^-s for s > 1, q > 0.
+    """zeta(s, q) = sum_{n>=0} (q+n)^-s for s > 1, q > 0: ``_zeta_series``.
 
     Raises DivergentSeries for s <= 1 or nan, NonPositiveArgument for
     q <= 0 or nan, and Overflow where the result exceeds double range
@@ -257,16 +282,10 @@ def hurwitz_zeta(s: float, q: float) -> float:
         raise DivergentSeries(f"hurwitz_zeta requires s > 1, got {s}")
     if not (q > 0.0):
         raise NonPositiveArgument(f"hurwitz_zeta requires q > 0, got {q}")
-    n_terms = _ZETA_BASE_TERMS + int(0.5 * min(s, 200.0))
     try:
-        direct = 0.0
-        for n in range(n_terms - 1, -1, -1):
-            direct += (q + n) ** (-s)
+        result = _zeta_series(s, q)
     except OverflowError:
         raise Overflow(f"hurwitz_zeta({s}, {q}) exceeds double range") from None
-    base = q + n_terms
-    tail = base ** (1.0 - s) / (s - 1.0) + 0.5 * base ** (-s)
-    result = direct + tail + _em_tail(s, base)
     if not math.isfinite(result):
         raise Overflow(f"hurwitz_zeta({s}, {q}) exceeds double range")
     return result

@@ -13,7 +13,7 @@ exceeds double range.
 import math
 
 from . import scalar
-from .constants import _MIN_NORMAL
+from .constants import _MAX, _MIN_NORMAL
 from .errors import DivergentSeries, NonPositiveArgument, Overflow, PoleHit
 from .params import Params
 
@@ -78,29 +78,34 @@ def hurwitz_knu(p: Params, x: float, s: float) -> float:
 def _log_hurwitz_about_x(x: float, c: float, sc: float) -> float:
     """ln sum_{n>=0} (x + n c)^(-sc) for finite x, c > 0 and finite
     sc > 1, as -sc ln x + ln S with S = sum_{n>=0} (1 + n w)^(-sc),
-    w = c/x: the Euler-Maclaurin sum of ``scalar.hurwitz_zeta`` (same
-    term counts, q = x/c) divided through by its first term, so no
-    intermediate leaves double range.  S is at least 1."""
+    w = c/x: the series of ``scalar.hurwitz_zeta`` at q = x/c divided
+    through by its first term, so no intermediate leaves double range.
+    It takes the same direct terms, shifting the base q + N up to
+    _ZETA_BASE + sc, except that the first term (the 1 of S) is always
+    one of them.  S is at least 1."""
     w = c / x  # may be inf: every n >= 1 term is then 0
-    n_terms = scalar._ZETA_BASE_TERMS + int(0.5 * min(sc, 200.0))
+    q = x / c
+    n_terms = max(1, scalar._zeta_terms(sc, q))
     direct = 0.0
     for n in range(n_terms - 1, 0, -1):  # ascending magnitude
         direct += math.exp(-sc * math.log1p(n * w))
     ln_s = math.log1p(direct)
     # The tail u (base/(sc-1) + 1/2 + sum_k B_2k/(2k)! (sc)_{2k-1} base^(1-2k)),
     # base = q + N, u = (base/q)^(-sc), is skipped where its leading term
-    # is below e^-60 (S >= 1); that also keeps (sc)_{2k-1}/base^(2k-1),
-    # whose series diverges for sc >> base, to sc/base < 5.
-    log1p_nw = math.log1p(n_terms * w)
-    ln_lead = (1.0 - sc) * log1p_nw + math.log(x) - math.log(c) - math.log(sc - 1.0)
+    # is below e^-60 (S >= 1); that also keeps the Horner sum, whose
+    # terms diverge for sc >> base, to sc/base below 1 (below about 1/3
+    # where the direct terms are capped).
+    # ln(q/(sc-1)) from the quotient where it and q are normal doubles: the
+    # tail may be most of S, and a difference of logs would cost ulps of ln q
+    ratio = q / (sc - 1.0)
+    if _MIN_NORMAL <= min(q, ratio) and max(q, ratio) <= _MAX:
+        ln_ratio = math.log(ratio)
+    else:
+        ln_ratio = math.log(x) - math.log(c) - math.log(sc - 1.0)
+    ln_lead = (1.0 - sc) * math.log1p(n_terms * w) + ln_ratio
     if ln_lead > -60.0:
-        base = x / c + n_terms
-        em = 0.0
-        ratio = sc / base  # (sc)_{2k-1} / base^(2k-1)
-        for coeff, two_k in scalar._EM_COEFFS:
-            em += coeff * ratio
-            t = sc + two_k
-            ratio *= (t - 1.0) / base * (t / base)
+        base = q + n_terms
+        em = scalar._em_sum(sc, base)
         ln_tail = ln_lead + math.log1p((sc - 1.0) * (0.5 + em) / base)
         hi, lo = max(ln_s, ln_tail), min(ln_s, ln_tail)
         ln_s = hi + math.log1p(math.exp(lo - hi))

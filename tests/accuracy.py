@@ -1,27 +1,43 @@
-"""Accuracy of the fast paths against 50-digit mpmath, in raw ulps.
+"""Accuracy of the fast paths against mpmath, in raw ulps.
 
-Each entry of ``FUNCTIONS`` names a function, its groups (the
-polygamma order m), a seeded draw of its arguments per group and
-magnitude band, and an mpmath reference.  ``score`` evaluates both on
-the same draws and reports, per group and band, the worst error in
-ulps of the reference and the arguments where it occurs.  Draws whose
+Each entry of ``FUNCTIONS`` names a function, its groups, its bands,
+a seeded draw of its arguments per group and band, and an mpmath
+reference.  ``score`` evaluates both on the same draws and reports,
+per group and band, the median, 99th percentile and worst error in
+ulps of the reference and the arguments of the worst.  Draws whose
 reference lies outside the normal doubles are counted apart and not
 scored; typed errors where the reference is a normal double are
 counted apart too.  ``test_accuracy.py`` runs a small sample of this
 against fixed bounds.
 
-    python tests/accuracy.py [--draws N] [--seed S]    # print the table
+    python tests/accuracy.py [--draws N] [--seed S] [--functions A,B] [--json PATH]
 
-The (k, nu) draws take k and nu log-uniform over 1e±2 and x/c
-log-uniform over 1e±3, 1e±8 and 1e±15.  The reference is taken at the
-exact quotient of the doubles x and c, so the score measures what the
-function loses, not the rounding of x/c.
+prints the table and, with ``--json``, writes it to PATH as well.
+
+The polygamma groups are the order m; the zeta groups bound s - 1
+(for the (k, nu) forms s/c - 1), log-uniform over 1e-6..1e-2,
+1e-2..20 and 20..400.  The bands are magnitudes: x/c (q for
+``hurwitz_zeta``, x for ``polygamma``) log-uniform over 1e±3, 1e±8
+and 1e±15; the Riemann zetas have none.  The (k, nu) draws take k and
+nu log-uniform over 1e±2.  The reference is taken at the exact
+quotient of the doubles x and c, so the score measures what the
+function loses, not the rounding of x/c; except the zetas' exponent
+s/c, which is taken as the function rounds it, since near the pole
+zeta's condition number s/(s-1) would turn that rounding alone into
+up to 1e6 ulp.  References are taken at 50 digits, the zetas' at 200
+plus the decades of q^s (``_zeta_dps``): mpmath's Hurwitz zeta loses
+about as many digits as q^-s has leading zeros.  At 40 digits
+``hurwitz_zeta(15.502375051604048, 518.8296337479167)`` = 2.95e-41
+reads wrong in the tenth digit, and at 200 digits (65.13, 3215.04),
+whose value is 1.88e-227, reads 2e-12 off.
 """
 
 import argparse
+import json
 import math
 import os
 import random
+import statistics
 import sys
 
 import mpmath
@@ -29,19 +45,27 @@ import mpmath
 # PYTHONPATH, if set, comes first, so another checkout can be scored
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from knugamma import Params, ScalarDomainError, polygamma_knu, scalar  # noqa: E402
+from knugamma import Params, ScalarDomainError, hurwitz_knu, polygamma_knu, scalar, zeta_knu  # noqa: E402
 
 DPS = 50
+ZETA_DPS = 200
 BANDS = (3, 8, 15)  # x/c log-uniform over 1e±band
+NO_BAND = (None,)
 ORDERS = (1, 2, 3, 4, 5, 10, 30, 100, 150)
+# s - 1 log-uniform over (the group before, group], from 1e-6
+ZETA_EXCESS = (1e-2, 20.0, 400.0)
 
 
 def _loguniform(rng, decades):
     return 10.0 ** rng.uniform(-decades, decades)
 
 
+def _params(rng):
+    return Params(_loguniform(rng, 2), _loguniform(rng, 2))
+
+
 def _draw_polygamma_knu(rng, band, m):
-    p = Params(_loguniform(rng, 2), _loguniform(rng, 2))
+    p = _params(rng)
     return p, m, _loguniform(rng, band) * p.c
 
 
@@ -58,10 +82,70 @@ def _ref_polygamma(m, x):
     return mpmath.polygamma(m, mpmath.mpf(x))
 
 
-# name -> (function, groups, draw(rng, band, group) -> args, reference(*args))
+def _zeta_dps(s, q, log10_lead):
+    """Digits for mpmath's zeta(s, q), whose Euler-Maclaurin sum stops
+    at an absolute 2^-prec: ZETA_DPS beyond the decades of q^s.  Not
+    where the leading term of the scored value is below 1e-340: the
+    value is at most 1e21 times it over these draws, so below the
+    normal doubles, and ZETA_DPS shows that."""
+    decades = math.ceil(s * math.log10(q))
+    return ZETA_DPS + decades if decades > 0 and log10_lead >= -340.0 else ZETA_DPS
+
+
+def _excess(rng, group):
+    lo = ZETA_EXCESS[ZETA_EXCESS.index(group) - 1] if group != ZETA_EXCESS[0] else 1e-6
+    return math.exp(rng.uniform(math.log(lo), math.log(group)))
+
+
+def _draw_riemann_zeta(rng, band, group):
+    return (1.0 + _excess(rng, group),)
+
+
+def _ref_riemann_zeta(s):
+    with mpmath.workdps(ZETA_DPS):
+        return +mpmath.zeta(mpmath.mpf(s))
+
+
+def _draw_hurwitz_zeta(rng, band, group):
+    return 1.0 + _excess(rng, group), _loguniform(rng, band)
+
+
+def _ref_hurwitz_zeta(s, q):
+    with mpmath.workdps(_zeta_dps(s, q, -s * math.log10(q))):
+        return +mpmath.zeta(mpmath.mpf(s), mpmath.mpf(q))
+
+
+def _draw_zeta_knu(rng, band, group):
+    p = _params(rng)
+    return p, (1.0 + _excess(rng, group)) * p.c
+
+
+def _ref_zeta_knu(p, x):
+    with mpmath.workdps(ZETA_DPS):
+        s = mpmath.mpf(x / p.c)
+        return mpmath.mpf(p.c) ** -s * mpmath.zeta(s)
+
+
+def _draw_hurwitz_knu(rng, band, group):
+    p = _params(rng)
+    return p, _loguniform(rng, band) * p.c, (1.0 + _excess(rng, group)) * p.c
+
+
+def _ref_hurwitz_knu(p, x, s):
+    with mpmath.workdps(_zeta_dps(s / p.c, x / p.c, -s / p.c * math.log10(x))):
+        c = mpmath.mpf(p.c)
+        sc = mpmath.mpf(s / p.c)
+        return c ** -sc * mpmath.zeta(sc, mpmath.mpf(x) / c)
+
+
+# name -> (function, groups, bands, draw(rng, band, group) -> args, reference(*args))
 FUNCTIONS = {
-    "polygamma_knu": (polygamma_knu, ORDERS, _draw_polygamma_knu, _ref_polygamma_knu),
-    "polygamma": (scalar.polygamma, ORDERS, _draw_polygamma, _ref_polygamma),
+    "polygamma_knu": (polygamma_knu, ORDERS, BANDS, _draw_polygamma_knu, _ref_polygamma_knu),
+    "polygamma": (scalar.polygamma, ORDERS, BANDS, _draw_polygamma, _ref_polygamma),
+    "riemann_zeta": (scalar.riemann_zeta, ZETA_EXCESS, NO_BAND, _draw_riemann_zeta, _ref_riemann_zeta),
+    "hurwitz_zeta": (scalar.hurwitz_zeta, ZETA_EXCESS, BANDS, _draw_hurwitz_zeta, _ref_hurwitz_zeta),
+    "zeta_knu": (zeta_knu, ZETA_EXCESS, NO_BAND, _draw_zeta_knu, _ref_zeta_knu),
+    "hurwitz_knu": (hurwitz_knu, ZETA_EXCESS, BANDS, _draw_hurwitz_knu, _ref_hurwitz_knu),
 }
 
 
@@ -72,18 +156,20 @@ def ulps(got, want):
 
 def score(name, draws, seed=0):
     """{(group, band): tally} for ``draws`` seeded draws per group and
-    band.  A tally holds ``scored``, ``max_ulp``, ``worst`` (the
-    arguments of the worst error), ``errors`` (typed errors where the
-    reference is a normal double) and ``out_of_range`` (references
-    outside the normal doubles, not scored)."""
-    fn, groups, draw, reference = FUNCTIONS[name]
+    band.  A tally holds ``scored``, ``median_ulp``, ``p99_ulp``,
+    ``max_ulp``, ``worst`` (the arguments of the worst error),
+    ``errors`` (typed errors where the reference is a normal double)
+    and ``out_of_range`` (references outside the normal doubles, not
+    scored)."""
+    fn, groups, bands, draw, reference = FUNCTIONS[name]
     rng = random.Random(f"{name}:{seed}")
     out = {}
     with mpmath.workdps(DPS):
         for group in groups:
-            for band in BANDS:
+            for band in bands:
                 t = out[group, band] = {"scored": 0, "max_ulp": 0.0, "worst": None,
                                         "errors": 0, "out_of_range": 0}
+                errs = []
                 for _ in range(draws):
                     args = draw(rng, band, group)
                     want = reference(*args)
@@ -96,9 +182,13 @@ def score(name, draws, seed=0):
                         t["errors"] += 1
                         continue
                     err = ulps(got, want)
-                    t["scored"] += 1
+                    errs.append(err)
                     if not (err <= t["max_ulp"]):  # nan is a worst error too
                         t["max_ulp"], t["worst"] = err, args
+                t["scored"] = len(errs)
+                errs.sort()
+                t["median_ulp"] = statistics.median(errs) if errs else 0.0
+                t["p99_ulp"] = errs[math.ceil(0.99 * len(errs)) - 1] if errs else 0.0
     return out
 
 
@@ -106,12 +196,30 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description="accuracy of the fast paths in ulps against mpmath")
     ap.add_argument("--draws", type=int, default=200, help="draws per group and band")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--functions", default=",".join(FUNCTIONS),
+                    help="comma-separated names from FUNCTIONS (default: all)")
+    ap.add_argument("--json", metavar="PATH", help="also write the table to PATH as JSON")
     args = ap.parse_args(argv)
-    print("function        group band  scored  max_ulp  errors  out_of_range  worst")
-    for name in FUNCTIONS:
+    names = args.functions.split(",")
+    unknown = sorted(set(names) - set(FUNCTIONS))
+    if unknown:
+        ap.error(f"unknown function(s) {unknown}; choose from {list(FUNCTIONS)}")
+    rows = []
+    print("function        group  band  scored  median    p99  max_ulp  errors  out_of_range  worst")
+    for name in names:
         for (group, band), t in score(name, args.draws, args.seed).items():
-            print(f"{name:15s} {group:5d} 1e±{band:<2d} {t['scored']:6d} {t['max_ulp']:8.2f} "
-                  f"{t['errors']:7d} {t['out_of_range']:13d}  {t['worst']}")
+            rows.append(dict(function=name, group=group, band=band, **t))
+            band_text = "-" if band is None else f"1e±{band}"
+            print(f"{name:15s} {group:5g} {band_text:6s} {t['scored']:6d} {t['median_ulp']:7.2f} "
+                  f"{t['p99_ulp']:6.2f} {t['max_ulp']:8.2f} {t['errors']:7d} {t['out_of_range']:13d}"
+                  f"  {t['worst']}")
+    if args.json:
+        for row in rows:
+            row["worst"] = None if row["worst"] is None else [
+                [a.k, a.nu] if isinstance(a, Params) else a for a in row["worst"]]
+        with open(args.json, "w") as fh:
+            json.dump({"draws": args.draws, "seed": args.seed, "rows": rows}, fh, indent=1)
+            fh.write("\n")
     return 0
 
 

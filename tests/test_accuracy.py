@@ -1,5 +1,5 @@
 """Accuracy gate: a fixed-seed sample of ``accuracy.py`` against
-50-digit mpmath, with one max-ulp bound per function and group.
+mpmath, with one max-ulp bound per function, group and band.
 
 A later change may lower a bound, never raise it.
 """
@@ -8,21 +8,51 @@ import pytest
 
 import accuracy
 
-DRAWS = 20  # per group and band: under two seconds per function
+# draws per group and band: about a second per polygamma function and
+# 0.2 to 2 s per zeta, whose references take 200 digits or more
+DRAWS = {"polygamma_knu": 20, "polygamma": 20}
+ZETA_DRAWS = 8
 
 # the worst of both polygamma functions over 2000 draws per order and
 # band (seed 1), rounded up: the rounding of z = u + j and of u/z,
 # raised to the power e = m or m + 1, costs up to about e/2 ulp
 _POLYGAMMA = {1: 6, 2: 6, 3: 6, 4: 6, 5: 6, 10: 7, 30: 12, 100: 29, 150: 51}
-# function -> {group: max raw ulps}; the groups are the polygamma order m
-BOUNDS = {"polygamma_knu": _POLYGAMMA, "polygamma": _POLYGAMMA}
+_POLYGAMMA_BOUNDS = {(m, band): bound for m, bound in _POLYGAMMA.items() for band in accuracy.BANDS}
+# function -> {(group, band): max raw ulps}.  The zeta bounds are the
+# worst error of the series before its threshold shift and Horner tail
+# (a fixed 25 + s/2 direct terms, the Bernoulli terms summed forward)
+# over 1000 draws per group and band (seed 1), rounded up, so that the
+# series is graded against the one it replaced.
+ZETA_RIEMANN = {(0.01, None): 2, (20.0, None): 2, (400.0, None): 1}
+ZETA_KNU = {(0.01, None): 3, (20.0, None): 3, (400.0, None): 2}
+ZETA_HURWITZ = {
+    (0.01, 3): 2, (0.01, 8): 2, (0.01, 15): 2,
+    (20.0, 3): 8, (20.0, 8): 12, (20.0, 15): 8,
+    (400.0, 3): 17, (400.0, 8): 32, (400.0, 15): 6,
+}
+# x/c near 1 with s/c up to 400: where c^(-s/c) or zeta(s/c, x/c)
+# leaves the doubles, the log-space sum exponentiates -(s/c) ln x + ln S,
+# and the rounding of (s/c) ln x, up to ~600, costs hundreds of ulp
+HURWITZ_KNU = {
+    (0.01, 3): 3, (0.01, 8): 4, (0.01, 15): 3,
+    (20.0, 3): 10, (20.0, 8): 12, (20.0, 15): 16,
+    (400.0, 3): 500, (400.0, 8): 987, (400.0, 15): 707,
+}
+BOUNDS = {
+    "polygamma_knu": _POLYGAMMA_BOUNDS,
+    "polygamma": _POLYGAMMA_BOUNDS,
+    "riemann_zeta": ZETA_RIEMANN,
+    "hurwitz_zeta": ZETA_HURWITZ,
+    "zeta_knu": ZETA_KNU,
+    "hurwitz_knu": HURWITZ_KNU,
+}
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_max_ulp_within_bound(name):
     over, errors = [], []
-    for (group, band), t in accuracy.score(name, DRAWS).items():
-        if not (t["max_ulp"] <= BOUNDS[name][group]):
+    for (group, band), t in accuracy.score(name, DRAWS.get(name, ZETA_DRAWS)).items():
+        if not (t["max_ulp"] <= BOUNDS[name][group, band]):
             over.append((group, band, t["max_ulp"], t["worst"]))
         if t["errors"]:
             errors.append((group, band, t["errors"]))

@@ -47,6 +47,41 @@ class TestHurwitzKnu:
         # sum 1/(6+6n)^2 = zeta(2)/36 = pi^2/216
         assert hurwitz_knu(Params(2, 3), 6.0, 12.0) == pytest.approx(math.pi**2 / 216.0, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "q, sc",
+        [
+            (886.7585956677735, 9112.476549176192),
+            (205.9, 1e4),
+            (1e3, 1e4),
+            (45615.811893860846, 18793.742439210448),
+            (100.0, 250.0),
+            (1e5, 5e4),  # q > 6 + s/c: all but the first term is the tail
+        ],
+    )
+    def test_log_space_sum_at_large_s_over_c(self, q, sc):
+        # x = 1 and c = 1/q: c^(-s/c) overflows, and the sum
+        # S = sum (1 + n c)^(-s/c) is evaluated in log space.  With s/c
+        # above 206 the direct terms stop at the cap, not at q + N =
+        # 6 + s/c; a base held at 206 instead would leave the Bernoulli
+        # terms at (s/c)/base >> 1 and give nan here.  Where the tail is
+        # most of S (the last two cases) its log takes ln(q/(s/c - 1))
+        # from the quotient: ln q - ln(s/c - 1) costs ulps of ln q.
+        import mpmath
+
+        k = math.sqrt(1.0 / q)
+        p = Params(k, k)
+        s = sc * p.c
+        with mpmath.workdps(30):
+            c, e = mpmath.mpf(p.c), -mpmath.mpf(s / p.c)
+            want, n = mpmath.mpf(0), 0
+            while True:
+                term = (1 + n * c) ** e
+                want += term
+                if term < want * mpmath.mpf(10) ** -25:
+                    break
+                n += 1
+        assert hurwitz_knu(p, 1.0, s) == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
     def test_domain(self):
         with pytest.raises(PoleHit):
             hurwitz_knu(Params(1, 1), 0.0, 2.0)
