@@ -20,6 +20,13 @@ domain error) or an ``ArithmeticError`` raised inside a check into that
 check's failure (``max_dev`` inf, the points counted so far, the error
 kind as note), so the rest of the suite runs.
 
+A check computes each distinct point once: the Polygamma inequality
+checks read ln Gamma, Psi and Psi^(m) through ``_pg``, which keeps each
+value in ``_VALUES`` by its exact arguments.  The registration wrapper
+empties ``_VALUES`` whenever a check returns or raises, so nothing
+carries from one check to the next, between runs or into a forked
+process.
+
 numpy and the sign-map module are imported only inside the product
 table and the check that use them, so importing this module (the CLI
 does, for the suite names) loads neither.
@@ -104,6 +111,10 @@ class _Tally:
         self.dev, self.note = math.inf, note
 
 
+# the values ``_pg`` has computed for the running check
+_VALUES: Dict[tuple, float] = {}
+
+
 SUITES: Dict[str, List[Callable[[_Grid], CheckResult]]] = {
     "identities": [], "inequalities": [], "oracle": [], "pde": [],
 }
@@ -121,6 +132,8 @@ def _register(suite: str, name: str, tol: float):
                 body(g, t)
             except (ValueError, ArithmeticError) as exc:
                 t.fail(f"raised {type(exc).__name__}")
+            finally:
+                _VALUES.clear()
             return _make(name, t.dev, g.tol(tol), t.points, t.skipped, t.note)
 
         SUITES[suite].append(check)
@@ -645,12 +658,23 @@ def check_psi_increasing_lngamma_convex(g: _Grid, t: _Tally) -> None:
 
 
 def _pg(p, order, x):
-    """Psi^(order) with the order-0 and order-(-1) conventions."""
-    if order == -1:
-        return log_gamma_knu(p, x)
-    if order == 0:
-        return psi_knu(p, x)
-    return polygamma_knu(p, order, x)
+    """Psi^(order) with the order-0 and order-(-1) conventions, computed
+    once per distinct point of a check.  The key is the plain arguments,
+    never a ``Params`` (whose hash is a Python-level call); a call that
+    raises is not kept, so a repeat raises again.  The fast paths are
+    called by their module-global names, so whatever those are bound to
+    is what runs."""
+    key = (p.k, p.nu, order, x)
+    value = _VALUES.get(key)
+    if value is None:
+        if order == -1:
+            value = log_gamma_knu(p, x)
+        elif order == 0:
+            value = psi_knu(p, x)
+        else:
+            value = polygamma_knu(p, order, x)
+        _VALUES[key] = value
+    return value
 
 
 def _mean_value_cases(orders):
@@ -692,10 +716,10 @@ def _power_ratio(g: _Grid, t: _Tally, r: float, reverse: bool) -> None:
     form runs the other way; ``reverse`` swaps both, for r < 1."""
     for p, theta, x, y in product(g.params, (0.0, 1.0), (0.5, 1.5, 3.0), (0.7, 2.0)):
         vals = (
-            psi_knu(p, theta + x),
-            psi_knu(p, theta + r * x),
-            psi_knu(p, theta + x + y),
-            psi_knu(p, theta + r * (x + y)),
+            _pg(p, 0, theta + x),
+            _pg(p, 0, theta + r * x),
+            _pg(p, 0, theta + x + y),
+            _pg(p, 0, theta + r * (x + y)),
         )
         if all(v > 0.0 for v in vals):
             at_x = r * math.log(vals[0]) - math.log(vals[1])
@@ -703,14 +727,9 @@ def _power_ratio(g: _Grid, t: _Tally, r: float, reverse: bool) -> None:
             t.add(_viol(at_xy, at_x) if reverse else _viol(at_x, at_xy))
         else:
             t.skipped += 1
-        for m in (0, 1):  # odd orders 2m+1: always positive
-            o = 2 * m + 1
-            at_xy = r * math.log(polygamma_knu(p, o, theta + x + y)) - math.log(
-                polygamma_knu(p, o, theta + r * (x + y))
-            )
-            at_x = r * math.log(polygamma_knu(p, o, theta + x)) - math.log(
-                polygamma_knu(p, o, theta + r * x)
-            )
+        for o in (1, 3):  # odd orders: always positive
+            at_xy = r * math.log(_pg(p, o, theta + x + y)) - math.log(_pg(p, o, theta + r * (x + y)))
+            at_x = r * math.log(_pg(p, o, theta + x)) - math.log(_pg(p, o, theta + r * x))
             t.add(_viol(at_x, at_xy) if reverse else _viol(at_xy, at_x))
 
 

@@ -129,6 +129,8 @@ def _integrate_to_inf(f: Callable[[float], float], a: float):
 
     def g(v: float) -> float:
         om = 1.0 - v
+        if om == 0.0:  # a node this close to v = 1 stands for t = inf
+            raise Overflow("integral to infinity reaches t beyond the double range")
         t = a + v / om
         y = f(t)
         if y == 0.0:
@@ -147,9 +149,12 @@ def _combine(parts):
 
 
 def _quotient(num, den):
-    """The quotient of two integrals, with first-order error propagation."""
+    """The quotient of two integrals, with first-order error propagation;
+    ``Overflow`` where the normaliser ``den`` is 0 (it underflowed)."""
     num_v, num_e, num_n, num_ok = num
     den_v, den_e, den_n, den_ok = den
+    if den_v == 0.0:
+        raise Overflow("quotient exceeds double range: its normaliser is 0")
     value = num_v / den_v
     err = num_e / abs(den_v) + abs(num_v) * den_e / (den_v * den_v)
     return value, err, num_n + den_n, num_ok and den_ok
@@ -354,9 +359,14 @@ def _sine_integral(_p: Optional[Params], x: float):
 
 # ----------------------------------------------------------------------
 # series / product targets (numpy-vectorized, chunked); numpy is
-# imported inside them, so the rest of the package never loads it
+# imported inside them, so the rest of the package never loads it.  A
+# chunk's terms are built in place in its own array, with one reused
+# _BLOCK-sized buffer for the values an elementwise step needs beside
+# it: no chunk-sized temporaries, whose fresh pages the allocator
+# would fault in again on every call.
 
 _CHUNK = 1 << 20
+_BLOCK = 1 << 15
 
 
 def _sums(terms, n: int, half: int):
@@ -380,6 +390,17 @@ def _sums(terms, n: int, half: int):
     return total, total_half
 
 
+def _blocks(a):
+    """(view, buffer) pairs over ``a`` in blocks of _BLOCK elements, all
+    sharing one buffer."""
+    import numpy as np
+
+    buf = np.empty(min(_BLOCK, len(a)))
+    for i in range(0, len(a), _BLOCK):
+        view = a[i:i + _BLOCK]
+        yield view, buf[:len(view)]
+
+
 def _gamma_limit(p: Params, x: float, n: int):
     """Limit definition Gamma_{k,nu}(x) = lim n! c^n (n k/nu)^(x/c-1)
     / (x)_{n,c}, truncated at a given n; the error estimate compares
@@ -400,20 +421,27 @@ def _gamma_limit(p: Params, x: float, n: int):
     # no catastrophic cancellation against the (u-1) ln(m r) compensation.
     def terms(j0: int, j1: int):
         j = np.arange(j0, j1 + 1, dtype=np.float64)
+        # j c or x + (j-1) c overflows in this chunk where c is near
+        # DBL_MAX: the same ratio is then taken as j / (x/c + j - 1)
+        scaled = math.isinf(j1 * c) or math.isinf(x + (j1 - 1.0) * c)
         # the first term c/x overflows where x < c/DBL_MAX: its log is
         # taken as ln c - ln x there (errstate None leaves a setting as is)
         first_overflows = j0 == 1 and math.isinf(c / x)
         flag = "ignore" if first_overflows else None
         with np.errstate(over=flag, divide=flag):
-            if math.isinf(j1 * c) or math.isinf(x + (j1 - 1.0) * c):
-                # j c or x + (j-1) c overflows in this chunk (c near
-                # DBL_MAX): the same ratio as j / (x/c + j - 1)
-                out = np.log(j / (u + (j - 1.0)))
-            else:
-                out = np.log(j * c / (x + (j - 1.0) * c))
+            for jb, den in _blocks(j):
+                np.subtract(jb, 1.0, out=den)
+                if scaled:
+                    den += u
+                else:
+                    den *= c
+                    den += x
+                    jb *= c
+                jb /= den
+            np.log(j, out=j)
         if first_overflows:
-            out[0] = math.log(c) - math.log(x)
-        return out
+            j[0] = math.log(c) - math.log(x)
+        return j
 
     half_n = n // 2
     total, total_half = _sums(terms, n, half_n)
@@ -437,9 +465,14 @@ def _recip_product(p: Params, x: float, n_terms: int):
     c = p.c
     u = x / c
 
-    def terms(j0: int, j1: int):
-        w = x / (np.arange(j0, j1 + 1, dtype=np.float64) * c)
-        return np.log1p(w) - w
+    def terms(j0: int, j1: int):  # ln(1 + w) - w, w = x/(j c)
+        w = np.arange(j0, j1 + 1, dtype=np.float64)
+        w *= c
+        np.divide(x, w, out=w)
+        for wb, log1p in _blocks(w):
+            np.log1p(wb, out=log1p)
+            np.subtract(log1p, wb, out=wb)
+        return w
 
     tail, tail_half = _sums(terms, n_terms, max(1, n_terms // 2))
     log_pref = (u - 1.0) * math.log(p.nu) - u * math.log(p.k)

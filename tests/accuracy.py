@@ -87,8 +87,9 @@ def _zeta_dps(s, q, log10_lead):
     at an absolute 2^-prec: ZETA_DPS beyond the decades of q^s.  Not
     where the leading term of the scored value is below 1e-340: the
     value is at most 1e21 times it over these draws, so below the
-    normal doubles, and ZETA_DPS shows that."""
-    decades = math.ceil(s * math.log10(q))
+    normal doubles, and ZETA_DPS shows that.  ``q`` may be an mpf
+    below the doubles."""
+    decades = math.ceil(s * float(mpmath.log10(q)))
     return ZETA_DPS + decades if decades > 0 and log10_lead >= -340.0 else ZETA_DPS
 
 

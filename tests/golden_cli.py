@@ -66,6 +66,9 @@ EXIT_2 = [
     "eval --fn gamma --oracle --target gamma-limit --k 1e3 --nu 1e3 --x 5e-324 --n 500",
     "eval --fn gamma --x 170 --oracle",
     "eval --fn beta --x 0.01 --y 1 --oracle",
+    "eval --fn psi --oracle --target psi-integral --x 1e-300",
+    "eval --fn polygamma --oracle --target polygamma-integral --m 2 --x 1e-200",
+    "eval --fn zeta --oracle --target zeta-integral --k 1e-5 --nu 1 --x 1e-3",
     # a flag the function or target needs, or a name it does not know
     "eval --fn beta --x 1",
     "eval --fn polygamma --x 1",

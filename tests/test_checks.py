@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from knugamma import Params, beta_knu, checks
-from knugamma.errors import Overflow
+from knugamma.errors import Overflow, PoleHit
 
 # (name, points, skipped, tol) on the default grid, then (points,
 # skipped) on knu_values=(1, 2) with tol=1e-3: what each check samples
@@ -118,6 +118,90 @@ def test_a_raising_check_fails_with_its_points_so_far(monkeypatch, error):
     r = checks.check_pochhammer_gamma(g)
     assert (r.passed, r.max_dev, r.points) == (False, math.inf, 2)
     assert r.note == f"raised {type(error).__name__}"
+
+
+def _pg_uncached(p, order, x):
+    """``checks._pg`` as it was before it kept values: every call
+    evaluates."""
+    if order == -1:
+        return checks.log_gamma_knu(p, x)
+    if order == 0:
+        return checks.psi_knu(p, x)
+    return checks.polygamma_knu(p, order, x)
+
+
+# the checks that read their values through ``_pg``
+CACHED = ("check_mean_value_ineq", "check_trapezoid_ineq",
+          "check_power_ratio_monotone", "check_power_ratio_reversed")
+DEFAULT_GRID = checks._Grid([Params(k, nu) for k in checks.GRID_KNU for nu in checks.GRID_KNU],
+                            checks.GRID_X)
+
+
+def test_cached_runs_equal_uncached_runs(monkeypatch):
+    runs = ({}, {"knu_values": (1, 2), "tol": 1e-3})
+    cached = [checks.run_suite("all", **kw) for kw in runs]
+    monkeypatch.setattr(checks, "_pg", _pg_uncached)
+    assert [checks.run_suite("all", **kw) for kw in runs] == cached
+
+
+def _counting(monkeypatch, calls):
+    """Record every call of the three fast paths ``_pg`` reads."""
+    for name in ("log_gamma_knu", "psi_knu", "polygamma_knu"):
+        def count(p, *args, _name=name, _fn=getattr(checks, name)):
+            calls.append((_name, p.k, p.nu, *args))
+            return _fn(p, *args)
+
+        monkeypatch.setattr(checks, name, count)
+
+
+@pytest.mark.parametrize("name", CACHED)
+def test_a_check_evaluates_each_point_once(monkeypatch, name):
+    calls = []
+    _counting(monkeypatch, calls)
+    check = getattr(checks, name)
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_pg", _pg_uncached)
+        want = check(DEFAULT_GRID)
+    points = set(calls)
+    assert len(points) < len(calls)  # the check repeats points
+    for _ in range(2):  # a second run starts empty and evaluates them all again
+        calls.clear()
+        assert check(DEFAULT_GRID) == want
+        assert sorted(calls) == sorted(points)
+
+
+def test_the_cache_is_empty_after_every_check():
+    for check in checks.SUITES["all"]:
+        check(DEFAULT_GRID)
+        assert checks._VALUES == {}, check.__name__
+
+
+@pytest.mark.parametrize("error", [Overflow("x"), OverflowError(), ZeroDivisionError()])
+def test_a_raising_cached_check_leaves_the_cache_empty(monkeypatch, error):
+    calls = []
+
+    def polygamma_knu(p, m, x):
+        calls.append((p.k, p.nu, m, x))
+        if len(calls) == 4:  # the first call of the second case
+            raise error
+        return 1.0
+
+    monkeypatch.setattr(checks, "polygamma_knu", polygamma_knu)
+    g = checks._Grid([Params(1.0, 1.0)], checks.GRID_X, tol_override=math.inf)
+    r = checks.check_mean_value_ineq(g)
+    assert (r.passed, r.max_dev, r.points) == (False, math.inf, 1)
+    assert r.note == f"raised {type(error).__name__}"
+    assert checks._VALUES == {}
+    assert len(set(calls)) == len(calls)
+
+
+def test_a_raising_call_is_not_kept():
+    # outside a check nothing empties the cache, so a kept value would show
+    p = Params(1.0, 1.0)
+    for _ in range(2):
+        with pytest.raises(PoleHit):
+            checks._pg(p, 1, -1.0)
+    assert checks._VALUES == {}
 
 
 def test_jensen_beta_bound_outside_its_regions_fails(monkeypatch):

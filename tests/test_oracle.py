@@ -3,6 +3,8 @@ meant to police."""
 
 import ast
 import math
+import sys
+import warnings
 
 import pytest
 
@@ -200,24 +202,37 @@ class TestEffortAccounting:
 
 
 def _two_pass_limit(p, x, n):
-    """The limit target as two chunked passes, one per truncation length."""
+    """The limit target as two chunked passes, one per truncation
+    length, each chunk's terms built from fresh arrays."""
     import numpy as np
+
+    c, u = p.c, x / p.c
 
     def log_value(m):
         total, j0 = 0.0, 1
         while j0 <= m:
             j1 = min(m, j0 + oracle._CHUNK - 1)
             j = np.arange(j0, j1 + 1, dtype=np.float64)
-            total += float(np.log(j * p.c / (x + (j - 1.0) * p.c)).sum())
+            first_overflows = j0 == 1 and math.isinf(c / x)
+            flag = "ignore" if first_overflows else None
+            with np.errstate(over=flag, divide=flag):
+                if math.isinf(j1 * c) or math.isinf(x + (j1 - 1.0) * c):
+                    terms = np.log(j / (u + (j - 1.0)))
+                else:
+                    terms = np.log(j * c / (x + (j - 1.0) * c))
+            if first_overflows:
+                terms[0] = math.log(c) - math.log(x)
+            total += float(terms.sum())
             j0 = j1 + 1
-        return total + (x / p.c - 1.0) * (math.log(m) + math.log(p.r))
+        return total + (u - 1.0) * (math.log(m) + math.log(p.r))
 
     value, half = math.exp(log_value(n)), math.exp(log_value(n // 2))
     return value, abs(value - half), n + n // 2, True
 
 
 def _two_pass_product(p, x, n):
-    """The product target as two chunked passes, one per truncation length."""
+    """The product target as two chunked passes, one per truncation
+    length, each chunk's terms built from fresh arrays."""
     import numpy as np
 
     def tail(m):
@@ -231,7 +246,9 @@ def _two_pass_product(p, x, n):
 
     u = x / p.c
     log_pref = (u - 1.0) * math.log(p.nu) - u * math.log(p.k)
-    log_pref += math.log(x / p.nu) + EULER_GAMMA * u
+    x_nu = x / p.nu
+    log_x_nu = math.log(x_nu) if x_nu >= sys.float_info.min else math.log(x) - math.log(p.nu)
+    log_pref += log_x_nu + EULER_GAMMA * u
     value = math.exp(log_pref + tail(n))
     half = math.exp(log_pref + tail(max(1, n // 2)))
     return value, abs(value - half), n + n // 2, True
@@ -244,6 +261,44 @@ def test_one_pass_sums_match_two_passes(monkeypatch, p, x, n):
     monkeypatch.setattr(oracle, "_CHUNK", 8)
     assert oracle._gamma_limit(p, x, n) == _two_pass_limit(p, x, n)
     assert oracle._recip_product(p, x, n) == _two_pass_product(p, x, n)
+
+
+def _bits(fn, *args):
+    """The hex digits of each float ``fn`` returns, or the error it raises."""
+    try:
+        return [v.hex() if isinstance(v, float) else v for v in fn(*args)]
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+def _series_draws():
+    import numpy as np
+
+    rng = np.random.default_rng(20261020)
+    for _ in range(40):
+        k, nu, u = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=3))
+        p = Params(float(k), float(nu))
+        yield p, float(u) * p.c, int(np.exp(rng.uniform(np.log(2), np.log(5000))))
+    yield Params(1e3, 1e3), 5e-324, 500  # the first term c/x overflows
+    yield Params(1e200, 1e-100), 1e-250, 3000  # ... and the value, ~1e50, does not
+    yield Params(1e154, 1e154), 1.0, 3000  # j c overflows from j = 2
+    yield Params(1e154, 1e154), 5e-324, 3000  # both
+    yield Params(1e-100, 1e200), 1e-300, 3000  # x / nu underflows to 0
+
+
+@pytest.mark.parametrize("chunk,block", [(1 << 20, 1 << 15), (256, 100), (1000, 1000)])
+def test_in_place_series_terms_keep_their_bits(monkeypatch, chunk, block):
+    # small chunks and blocks put block ends inside a chunk and chunk ends
+    # inside the half-length sum
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    with warnings.catch_warnings():
+        # the product's j c overflows to inf where c is near DBL_MAX, and
+        # numpy warns; its terms are then 0, on both sides
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for p, x, n in _series_draws():
+            assert _bits(oracle._gamma_limit, p, x, n) == _bits(_two_pass_limit, p, x, n), (p, x, n)
+            assert _bits(oracle._recip_product, p, x, n) == _bits(_two_pass_product, p, x, n), (p, x, n)
 
 
 def test_oracle_imports_no_fast_path():

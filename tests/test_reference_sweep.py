@@ -3,7 +3,10 @@
 Seeded sweeps over (k, nu, x) compare every fast path with an mpmath
 evaluation of its closed-form reduction; the contracts under test are
 the module accuracy guarantees (1e-12 relative for Gamma, 1e-11 for
-Psi/zeta), with plenty of margin expected.
+Psi/zeta), with plenty of margin expected.  Each reference sets its own
+precision with ``mp.workdps``, so none leaks into other test modules;
+the Hurwitz ones take the digits of ``accuracy._zeta_dps``, since
+mpmath's Hurwitz zeta loses about as many as q^-s has leading zeros.
 """
 
 import math
@@ -12,6 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from accuracy import _zeta_dps
 from knugamma import (
     Params,
     beta_knu,
@@ -23,7 +27,7 @@ from knugamma import (
     zeta_knu,
 )
 
-mp.mp.dps = 40
+DPS = 40
 
 N_SAMPLES = 150
 
@@ -44,7 +48,8 @@ def test_log_gamma_sweep(samples):
     worst = 0.0
     for p, u in samples:
         x = u * p.c
-        ref = float((u - 1) * mp.log(mp.mpf(p.k) / p.nu) + mp.loggamma(mp.mpf(x) / p.c))
+        with mp.workdps(DPS):
+            ref = float((u - 1) * mp.log(mp.mpf(p.k) / p.nu) + mp.loggamma(mp.mpf(x) / p.c))
         got = log_gamma_knu(p, x)
         worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     assert worst < 1e-13
@@ -54,10 +59,11 @@ def test_beta_sweep(samples):
     worst = 0.0
     for (p, u), (_, u2) in zip(samples[::2], samples[1::2]):
         x, y = u * p.c, u2 * p.c
-        ref = float(
-            mp.log(mp.mpf(p.nu) / p.k)
-            + mp.log(mp.beta(mp.mpf(x) / p.c, mp.mpf(y) / p.c))
-        )
+        with mp.workdps(DPS):
+            ref = float(
+                mp.log(mp.mpf(p.nu) / p.k)
+                + mp.log(mp.beta(mp.mpf(x) / p.c, mp.mpf(y) / p.c))
+            )
         got = log_beta_knu(p, x, y)
         worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     assert worst < 1e-12
@@ -67,7 +73,8 @@ def test_psi_sweep(samples):
     worst = 0.0
     for p, u in samples:
         x = u * p.c
-        ref = float((mp.log(mp.mpf(p.k) / p.nu) + mp.digamma(mp.mpf(x) / p.c)) / p.c)
+        with mp.workdps(DPS):
+            ref = float((mp.log(mp.mpf(p.k) / p.nu) + mp.digamma(mp.mpf(x) / p.c)) / p.c)
         got = psi_knu(p, x)
         worst = max(worst, abs(got - ref) / max(1.0 / p.c, abs(ref)))
     assert worst < 1e-12
@@ -78,7 +85,8 @@ def test_polygamma_sweep(samples):
     for i, (p, u) in enumerate(samples):
         m = 1 + i % 4
         x = u * p.c
-        ref = float(mp.polygamma(m, mp.mpf(x) / p.c) / mp.mpf(p.c) ** (m + 1))
+        with mp.workdps(DPS):
+            ref = float(mp.polygamma(m, mp.mpf(x) / p.c) / mp.mpf(p.c) ** (m + 1))
         got = polygamma_knu(p, m, x)
         worst = max(worst, abs(got - ref) / abs(ref))
     assert worst < 1e-11
@@ -88,7 +96,8 @@ def test_zeta_sweep(samples):
     worst = 0.0
     for p, u in samples:
         s = (1.0 + u) * p.c  # keep the reduced exponent above 1
-        ref = float(mp.mpf(p.c) ** (-(s / p.c)) * mp.zeta(mp.mpf(s) / p.c))
+        with mp.workdps(DPS):
+            ref = float(mp.mpf(p.c) ** (-(s / p.c)) * mp.zeta(mp.mpf(s) / p.c))
         got = zeta_knu(p, s)
         worst = max(worst, abs(got - ref) / abs(ref))
     assert worst < 1e-11
@@ -100,7 +109,8 @@ def test_hurwitz_sweep(samples):
         x = u * p.c
         s = (1.0 + u2) * p.c
         sc = s / p.c
-        ref = float(mp.mpf(p.c) ** (-sc) * mp.zeta(mp.mpf(sc), mp.mpf(x) / p.c))
+        with mp.workdps(_zeta_dps(sc, x / p.c, -sc * math.log10(x))):
+            ref = float(mp.mpf(p.c) ** (-sc) * mp.zeta(mp.mpf(sc), mp.mpf(x) / p.c))
         got = hurwitz_knu(p, x, s)
         worst = max(worst, abs(got - ref) / abs(ref))
     assert worst < 1e-10

@@ -433,10 +433,14 @@ def test_stirling_approx_overflow(p, x):
 )
 def test_hurwitz_knu_beyond_the_product(p, x, s):
     """Where c^(-s/c) zeta(s/c, x/c) cannot be formed from two normal
-    doubles, the log-space sum still agrees with a 40-digit reference."""
+    doubles, the log-space sum still agrees with a reference taken at
+    the digits of ``accuracy._zeta_dps`` (up to 1100 here: mpmath's
+    Hurwitz zeta loses about as many as q^-s has leading zeros)."""
     import mpmath
+    from accuracy import _zeta_dps
 
-    with mpmath.workdps(40):
+    q = mpmath.mpf(x) / mpmath.mpf(p.c)  # 1e-330 at the last point: not a double
+    with mpmath.workdps(_zeta_dps(s / p.c, q, -(s / p.c) * math.log10(x))):
         sc = mpmath.mpf(s) / mpmath.mpf(p.c)
         want = mpmath.power(mpmath.mpf(p.c), -sc) * mpmath.zeta(sc, mpmath.mpf(x) / mpmath.mpf(p.c))
         assert hurwitz_knu(p, x, s) == pytest.approx(float(want), rel=1e-13, abs=0.0)
