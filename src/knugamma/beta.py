@@ -9,7 +9,6 @@ exponentiation can overflow, for extremely small arguments.
 
 import math
 
-from .constants import _MAX, _MIN_NORMAL
 from .errors import Overflow
 from .gamma import log_gamma_knu
 from .params import Params
@@ -18,28 +17,10 @@ __all__ = ["log_beta_knu", "beta_knu"]
 
 
 def log_beta_knu(p: Params, x: float, y: float) -> float:
-    """ln B_{k,nu}(x, y) for x, y > 0 (PoleHit below the quadrant).
-    Raises ``Overflow`` where a log-Gamma term leaves the double range
-    and takes the sum with it (inf, or inf - inf).
-
-    Where x/c, y/c and (x+y)/c are normal doubles the three terms
-    (u - 1) ln r + ln Gamma(u) of ``log_gamma_knu`` are formed here with
-    ln r taken once; anywhere else, or where the sum is not finite, the
-    three ``log_gamma_knu`` calls give it, with their errors.  Both
-    give the same bits."""
-    c = p.c
-    u, v, w = x / c, y / c, (x + y) / c
-    if _MIN_NORMAL <= u and _MIN_NORMAL <= v and w <= _MAX:
-        log_r = math.log(p.r)
-        try:
-            value = (
-                (u - 1.0) * log_r + math.lgamma(u) + ((v - 1.0) * log_r + math.lgamma(v))
-                - ((w - 1.0) * log_r + math.lgamma(w))
-            )
-        except OverflowError:  # ln Gamma(w) beyond the double range
-            value = math.nan
-        if math.isfinite(value):
-            return value
+    """ln B_{k,nu}(x, y) for x, y > 0 (PoleHit below the quadrant), the
+    sum of three ``log_gamma_knu`` terms.  Raises ``Overflow`` where a
+    term leaves the double range or takes the sum with it (inf, or
+    inf - inf)."""
     value = log_gamma_knu(p, x) + log_gamma_knu(p, y) - log_gamma_knu(p, x + y)
     if not math.isfinite(value):
         raise Overflow(f"log_beta_knu({x}, {y}) exceeds double range")

@@ -12,7 +12,7 @@ from .beta import log_beta_knu
 from .errors import DomainWindow, Overflow, PoleHit
 from .gamma import _exp_sat, log_gamma_knu
 from .constants import _MAX, _MIN_NORMAL
-from .params import Params, Record
+from .params import Params, Record, _log_ratio
 
 __all__ = [
     "BoundReport",
@@ -91,16 +91,6 @@ class BoundReport(Record):
     actual_ratio: float
 
 
-def _log_ratio(num: float, den: float) -> float:
-    """ln(num/den) for num, den > 0: the log of the quotient where that
-    is a normal double, else the difference of the two logs, so a
-    quotient that underflows or overflows costs no accuracy."""
-    quotient = num / den
-    if _MIN_NORMAL <= quotient <= _MAX:
-        return math.log(quotient)
-    return math.log(num) - math.log(den)
-
-
 def ratio_bounds(p: Params, x1: float, x2: float, y: float) -> BoundReport:
     """The ``BoundReport`` at (x1, x2, y).  Raises ``PoleHit`` for x1
     or y not > 0 (nan included) and ``DomainWindow`` for x2 not > x1."""
@@ -120,29 +110,11 @@ def ratio_bounds(p: Params, x1: float, x2: float, y: float) -> BoundReport:
     log_upper_t1 = log_front + log_x_ratio + b * _log_ratio(x1 + y + c, x2 + y + c)
     log_upper_t2 = b * _log_ratio(x1 + y, x2 + y)
 
-    log_actual = None
-    if _MIN_NORMAL <= a1 and _MIN_NORMAL <= b and s2 <= _MAX:
-        # Every reduced argument is a normal double (a1 <= a2 and
-        # b <= s1 <= s2): their logs directly, and both ln B_{k,nu} as
-        # log_beta_knu forms them, with ln r and ln G_{k,nu}(y) once.
-        ln_a1, ln_a2, ln_s1, ln_s2 = math.log(a1), math.log(a2), math.log(s1), math.log(s2)
-        log_r = math.log(p.r)
-        try:
-            log_g_y = (b - 1.0) * log_r + math.lgamma(b)
-            log_b2 = (a2 - 1.0) * log_r + math.lgamma(a2) + log_g_y - ((s2 - 1.0) * log_r + math.lgamma(s2))
-            log_b1 = (a1 - 1.0) * log_r + math.lgamma(a1) + log_g_y - ((s1 - 1.0) * log_r + math.lgamma(s1))
-        except OverflowError:  # ln Gamma of y/c or s2 beyond the double range
-            log_b2 = log_b1 = math.nan
-        if abs(log_b2) <= _MAX and abs(log_b1) <= _MAX:
-            log_actual = log_b2 - log_b1
-    else:
-        ln_a1, ln_a2 = _log_ratio(x1, c), _log_ratio(x2, c)
-        ln_s1, ln_s2 = _log_ratio(x1 + y, c), _log_ratio(x2 + y, c)
+    ln_a1, ln_a2 = _log_ratio(x1, c), _log_ratio(x2, c)
+    ln_s1, ln_s2 = _log_ratio(x1 + y, c), _log_ratio(x2 + y, c)
     log_lower_t31 = (a2 - 1.0) * ln_a2 + (1.0 - a1) * ln_a1 + (1.0 - s2) * ln_s2 + (s1 - 1.0) * ln_s1
     log_upper_t32 = a2 * ln_a2 - a1 * ln_a1 - s2 * ln_s2 + s1 * ln_s1
-
-    if log_actual is None:  # log_beta_knu raises where a ln B is not finite
-        log_actual = log_beta_knu(p, x2, y) - log_beta_knu(p, x1, y)
+    log_actual = log_beta_knu(p, x2, y) - log_beta_knu(p, x1, y)
     return BoundReport(
         _exp_sat(log_lower_t1),
         _exp_sat(log_upper_t1),

@@ -229,7 +229,7 @@ def check_gamma_duplication(p, x):
     rhs = (
         (2.0 * x / p.c - 1.0) * math.log(2.0)
         - 0.5 * math.log(math.pi)
-        + 0.5 * math.log(p.r)
+        + 0.5 * p.log_r
         + log_gamma_knu(p, x)
         + log_gamma_knu(p, x + 0.5 * p.c)
     )
@@ -394,7 +394,7 @@ def check_psi_limit_formula(g: _Grid, t: _Tally) -> None:
     # Psi(x + (n+1)c) - (ln n)/c -> (1/c) ln(k/nu); error decays ~1/n.
     for k, nu in ((1.0, 1.0), (2.0, 3.0), (3.0, 2.0)):
         p = Params(k, nu)
-        target = math.log(p.r) / p.c
+        target = p.log_r / p.c
         x = 1.0
         gaps = []
         for n in (1000, 10_000, 100_000):
@@ -470,7 +470,7 @@ _JENSEN_UPPER_U = (1.0, 1.05, 1.15, 1.3, 1.45, 1.55, 1.7, 1.8, 1.9, 1.95, 1.99, 
     for u in us
 ))
 def check_jensen_gamma(p, u, lower):
-    log_bound = (u - 1.0) * math.log(p.r)
+    log_bound = (u - 1.0) * p.log_r
     if lower:
         return _viol(log_bound, log_gamma_knu(p, u * p.c))
     return _viol(log_gamma_knu(p, u * p.c), log_bound)

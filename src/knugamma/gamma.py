@@ -8,10 +8,9 @@ defining limit, integral, and product representations live in
 
 import math
 
-from . import scalar
 from .errors import DomainWindow, Overflow, PoleHit
 from .constants import _MAX, _MIN_NORMAL
-from .params import Params, Record
+from .params import Params, Record, _log_ratio
 
 __all__ = [
     "GammaValue",
@@ -42,17 +41,23 @@ def _exp_sat(log_value: float) -> float:
 
 
 def log_gamma_knu(p: Params, x: float) -> float:
-    """ln Gamma_{k,nu}(x) for x > 0; the workhorse for every product or
+    """ln Gamma_{k,nu}(x) = (x/c - 1) ln r + ln Gamma(x/c) for x > 0; the
+    one place that forms it, and the workhorse for every product or
     ratio of deformed Gamma values.  Raises ``Overflow`` where the log
     itself leaves the double range."""
     if not (x > 0.0):
         raise PoleHit(f"Gamma_{{k,nu}} pole set is x <= 0; got x={x}")
     u = x / p.c
-    if u < _MIN_NORMAL:  # x/c has lost bits or is 0, ln u = ln x - ln c has not
-        value = (u - 1.0) * math.log(p.r) + scalar.ln_gamma(1.0 + u) - (math.log(x) - math.log(p.c))
+    if u < _MIN_NORMAL:
+        # x/c has lost bits or is 0: ln Gamma(u) = ln Gamma(1 + u) - ln u,
+        # where 1 + u rounds to 1 and ln Gamma(1) = 0, with ln u exact
+        value = (u - 1.0) * p.log_r - _log_ratio(x, p.c)
     else:
-        value = (u - 1.0) * math.log(p.r) + scalar.ln_gamma(u)
-    if not (abs(value) <= _MAX):  # (u - 1) ln r overflows, alone or against ln Gamma(u)
+        try:
+            value = (u - 1.0) * p.log_r + math.lgamma(u)
+        except OverflowError:  # ln Gamma(u) beyond the double range
+            value = math.inf
+    if not (abs(value) <= _MAX):  # u = inf, or (u - 1) ln r or ln Gamma(u) overflows
         raise Overflow(f"log_gamma_knu({p.k}, {p.nu}, {x}) exceeds double range")
     return value
 
@@ -91,7 +96,7 @@ def param_transform(from_p: Params, to_p: Params, x: float) -> float:
     # the factor is r_to / r_from; where it is not a normal double it has
     # lost bits or left the range, ln r_to - ln r_from has not
     factor = (to_p.k * from_p.nu) / (from_p.k * to_p.nu)
-    log_factor = math.log(factor) if _MIN_NORMAL <= factor <= _MAX else math.log(to_p.r) - math.log(from_p.r)
+    log_factor = math.log(factor) if _MIN_NORMAL <= factor <= _MAX else to_p.log_r - from_p.log_r
     exponent = x / to_p.c - 1.0
     return _exp_sat(exponent * log_factor + log_gamma_knu(from_p, from_p.c * x / to_p.c))
 
@@ -110,9 +115,8 @@ def stirling_approx(p: Params, x: float) -> float:
     u = x / p.c
     if u > _MAX:  # x = inf, or x/c overflows: u ln u is beyond the double range
         raise Overflow(f"stirling_approx({p.k}, {p.nu}, {x}): x/c exceeds double range")
-    # where x/c is below the normal doubles it has lost bits; ln x - ln c has not
-    log_u = math.log(u) if u >= _MIN_NORMAL else math.log(x) - math.log(p.c)
-    log_r = math.log(p.r)
+    log_u = _log_ratio(x, p.c)
+    log_r = p.log_r
     log_value = 0.5 * math.log(2.0 * math.pi) + (u - 1.0) * log_r + (u - 0.5) * log_u - u
     if math.isnan(log_value):  # (u - 1) ln r and (u - 1/2) ln u overflow with opposite signs
         log_value = u * (log_r + log_u - 1.0) + 0.5 * math.log(2.0 * math.pi) - log_r - 0.5 * log_u

@@ -467,7 +467,8 @@ def _recip_product(p: Params, x: float, n_terms: int):
 
     def terms(j0: int, j1: int):  # ln(1 + w) - w, w = x/(j c)
         w = np.arange(j0, j1 + 1, dtype=np.float64)
-        w *= c
+        with np.errstate(over="ignore"):  # j c = inf where c is near the top of the doubles: its term is 0
+            w *= c
         np.divide(x, w, out=w)
         for wb, log1p in _blocks(w):
             np.log1p(wb, out=log1p)

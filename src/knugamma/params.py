@@ -2,6 +2,7 @@
 and ``Record``, the frozen-record base of every record type in the
 package."""
 
+import math
 import operator
 
 from .constants import _MAX, _MIN_NORMAL
@@ -74,15 +75,17 @@ class Record:
 class Params(Record):
     """Deformation pair.  ``c = k*nu`` is the step of every recurrence
     and series in the family; ``r = k/nu`` is the base of the rescaling
-    prefactors.  Both are stored at construction so all call sites use
-    the exact same doubles.  k and nu must be finite and > 0, and c and
-    r normal doubles (``ParameterRange`` otherwise).
+    prefactors, and ``log_r = ln r`` their exponent's factor.  All three
+    are stored at construction so all call sites use the exact same
+    doubles.  k and nu must be finite and > 0, and c and r normal
+    doubles (``ParameterRange`` otherwise).
     """
 
     k: float
     nu: float
     c: float = DERIVED
     r: float = DERIVED
+    log_r: float = DERIVED
 
     def __post_init__(self):
         if not (self.k > 0.0):
@@ -101,3 +104,15 @@ class Params(Record):
         fields = self.__dict__
         fields["c"] = c
         fields["r"] = r
+        fields["log_r"] = math.log(r)
+
+
+def _log_ratio(num: float, den: float) -> float:
+    """ln(num/den) for num, den > 0: the log of the quotient where that
+    is a normal double, else the difference of the two logs, so a
+    quotient that underflows or overflows costs no accuracy.  With
+    den = c it is ln u of the reduced argument u = x/c."""
+    quotient = num / den
+    if _MIN_NORMAL <= quotient <= _MAX:
+        return math.log(quotient)
+    return math.log(num) - math.log(den)

@@ -24,11 +24,11 @@ def psi_knu(p: Params, x: float) -> float:
         raise PoleHit(f"psi_knu requires x > 0, got x={x}")
     u = x / p.c
     try:
-        value = (math.log(p.r) + scalar.digamma(u)) / p.c
+        value = (p.log_r + scalar.digamma(u)) / p.c
     except (NonPositiveArgument, Overflow):
         # u underflowed to 0, or psi(u) ~ -1/u overflows: take
         # psi(u) = psi(1 + u) - 1/u, whose 1/u divided by c is 1/x
-        value = (math.log(p.r) + scalar.digamma(1.0 + u)) / p.c - 1.0 / x
+        value = (p.log_r + scalar.digamma(1.0 + u)) / p.c - 1.0 / x
     if math.isinf(value):
         raise Overflow(f"psi_knu({p.k}, {p.nu}, {x}) exceeds double range")
     return value

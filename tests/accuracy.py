@@ -16,15 +16,21 @@ prints the table and, with ``--json``, writes it to PATH as well.
 
 The polygamma groups are the order m; the zeta groups bound s - 1
 (for the (k, nu) forms s/c - 1), log-uniform over 1e-6..1e-2,
-1e-2..20 and 20..400.  The bands are magnitudes: x/c (q for
-``hurwitz_zeta``, x for ``polygamma``) log-uniform over 1e±3, 1e±8
-and 1e±15; the Riemann zetas have none.  The (k, nu) draws take k and
-nu log-uniform over 1e±2.  The reference is taken at the exact
-quotient of the doubles x and c, so the score measures what the
-function loses, not the rounding of x/c; except the zetas' exponent
-s/c, which is taken as the function rounds it, since near the pole
-zeta's condition number s/(s-1) would turn that rounding alone into
-up to 1e6 ulp.  References are taken at 50 digits, the zetas' at 200
+1e-2..20 and 20..400; the ``log_beta_knu`` groups are y/c
+log-uniform over 1e±3 and 1e±8, and ``log_gamma_knu`` has none.  The
+bands are magnitudes: x/c (q for ``hurwitz_zeta``, x for
+``polygamma``) log-uniform over 1e±3, 1e±8 and 1e±15, and over 1e±3
+and 1e±8 for the ln Gamma and ln B terms; the Riemann zetas have none.
+The (k, nu) draws take k and nu log-uniform over 1e±2.  The reference
+is taken at the exact quotient of the doubles x and c, so the score
+measures what the function loses, not the rounding of x/c; except the
+zetas' exponent s/c, which is taken as the function rounds it, since
+near the pole zeta's condition number s/(s-1) would turn that rounding
+alone into up to 1e6 ulp, and the reduced arguments x/c and y/c of
+``log_gamma_knu`` and ``log_beta_knu``, taken as the function rounds
+them too (with r = k/nu as ``Params`` rounds it), so their score is
+what the term loses past its reduced argument: for ``log_beta_knu``
+where x >> y, the rounding of x + y and the cancellation of its terms.  References are taken at 50 digits, the zetas' at 200
 plus the decades of q^s (``_zeta_dps``): mpmath's Hurwitz zeta loses
 about as many digits as q^-s has leading zeros.  At 40 digits
 ``hurwitz_zeta(15.502375051604048, 518.8296337479167)`` = 2.95e-41
@@ -45,11 +51,14 @@ import mpmath
 # PYTHONPATH, if set, comes first, so another checkout can be scored
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from knugamma import Params, ScalarDomainError, hurwitz_knu, polygamma_knu, scalar, zeta_knu  # noqa: E402
+from knugamma import (  # noqa: E402
+    Params, ScalarDomainError, hurwitz_knu, log_beta_knu, log_gamma_knu, polygamma_knu, scalar, zeta_knu,
+)
 
 DPS = 50
 ZETA_DPS = 200
 BANDS = (3, 8, 15)  # x/c log-uniform over 1e±band
+GAMMA_BANDS = (3, 8)  # x/c (and, as the group, y/c) for the ln Gamma and ln B terms
 NO_BAND = (None,)
 ORDERS = (1, 2, 3, 4, 5, 10, 30, 100, 150)
 # s - 1 log-uniform over (the group before, group], from 1e-6
@@ -139,6 +148,27 @@ def _ref_hurwitz_knu(p, x, s):
         return c ** -sc * mpmath.zeta(sc, mpmath.mpf(x) / c)
 
 
+def _draw_log_gamma_knu(rng, band, group):
+    p = _params(rng)
+    return p, _loguniform(rng, band) * p.c
+
+
+def _ref_log_gamma_knu(p, x):
+    u = mpmath.mpf(x / p.c)
+    return (u - 1) * mpmath.log(p.r) + mpmath.loggamma(u)
+
+
+def _draw_log_beta_knu(rng, band, group):
+    p = _params(rng)
+    return p, _loguniform(rng, band) * p.c, _loguniform(rng, group) * p.c
+
+
+def _ref_log_beta_knu(p, x, y):
+    # the (. - 1) ln r terms of the three ln Gamma_{k,nu} sum to -ln r
+    u, v = mpmath.mpf(x / p.c), mpmath.mpf(y / p.c)
+    return -mpmath.log(p.r) + mpmath.loggamma(u) + mpmath.loggamma(v) - mpmath.loggamma(u + v)
+
+
 # name -> (function, groups, bands, draw(rng, band, group) -> args, reference(*args))
 FUNCTIONS = {
     "polygamma_knu": (polygamma_knu, ORDERS, BANDS, _draw_polygamma_knu, _ref_polygamma_knu),
@@ -147,6 +177,8 @@ FUNCTIONS = {
     "hurwitz_zeta": (scalar.hurwitz_zeta, ZETA_EXCESS, BANDS, _draw_hurwitz_zeta, _ref_hurwitz_zeta),
     "zeta_knu": (zeta_knu, ZETA_EXCESS, NO_BAND, _draw_zeta_knu, _ref_zeta_knu),
     "hurwitz_knu": (hurwitz_knu, ZETA_EXCESS, BANDS, _draw_hurwitz_knu, _ref_hurwitz_knu),
+    "log_gamma_knu": (log_gamma_knu, (None,), GAMMA_BANDS, _draw_log_gamma_knu, _ref_log_gamma_knu),
+    "log_beta_knu": (log_beta_knu, GAMMA_BANDS, GAMMA_BANDS, _draw_log_beta_knu, _ref_log_beta_knu),
 }
 
 
@@ -210,8 +242,9 @@ def main(argv=None):
     for name in names:
         for (group, band), t in score(name, args.draws, args.seed).items():
             rows.append(dict(function=name, group=group, band=band, **t))
+            group_text = "-" if group is None else f"{group:g}"
             band_text = "-" if band is None else f"1e±{band}"
-            print(f"{name:15s} {group:5g} {band_text:6s} {t['scored']:6d} {t['median_ulp']:7.2f} "
+            print(f"{name:15s} {group_text:>5s} {band_text:6s} {t['scored']:6d} {t['median_ulp']:7.2f} "
                   f"{t['p99_ulp']:6.2f} {t['max_ulp']:8.2f} {t['errors']:7d} {t['out_of_range']:13d}"
                   f"  {t['worst']}")
     if args.json:

@@ -16,7 +16,8 @@ differs from the file, so a rewrite names what it changes.
 The lines cover ``knu check --suite all`` (text and JSON, four grids),
 ``knu eval`` on the six fast paths and the eleven oracle targets (text
 and JSON, two (k, nu)), ``knu bounds`` at the README example and the
-recorded edge cases, and the exit-2 cases.  ``--stats`` timings and
+recorded edge cases, the exit-2 cases, and oracle lines at the edges
+of the double range.  ``--stats`` timings and
 cases that print a traceback are left out.  A line that raises a
 warning is refused: its stderr would depend on the warning filters.
 So is a line that leaves a file behind or a child process unreaped.
@@ -94,6 +95,11 @@ EXIT_2 = [
     "signmap --y inf --out-csv {tmp}/m_{y}.csv --out-pgm {tmp}/m_{y}.pgm",
 ]
 
+# oracle lines at edges of the double range that exit 0
+ORACLE_EDGES = [
+    "eval --fn gamma --oracle --target recip-product --k 1e154 --nu 1e154 --x 1 --n 500",  # j c overflows to inf
+]
+
 BOUNDS = [
     "bounds --k 1 --nu 1 --x1 1 --x2 2 --y 1",
     "bounds --x1 3 --x2 9 --y 6 --format json",
@@ -124,6 +130,7 @@ def cases():
         for fmt in FMTS if "--format" not in line else ((),):
             out.append(line.split() + list(fmt))
     out += [line.split() for line in EXIT_2]
+    out += [line.split() for line in ORACLE_EDGES]
     return out
 
 

@@ -10,7 +10,7 @@ import accuracy
 
 # draws per group and band: about a second per polygamma function and
 # 0.2 to 2 s per zeta, whose references take 200 digits or more
-DRAWS = {"polygamma_knu": 20, "polygamma": 20}
+DRAWS = {"polygamma_knu": 20, "polygamma": 20, "log_gamma_knu": 2000, "log_beta_knu": 2000}
 ZETA_DRAWS = 8
 
 # the worst of both polygamma functions over 2000 draws per order and
@@ -38,7 +38,15 @@ HURWITZ_KNU = {
     (20.0, 3): 10, (20.0, 8): 12, (20.0, 15): 16,
     (400.0, 3): 500, (400.0, 8): 987, (400.0, 15): 707,
 }
+# the worst over 2000 draws per cell at seeds 0 and 1, rounded up to two
+# digits.  Raw ulps of a sum that cancels: near a zero of
+# (u - 1) ln r + ln Gamma(u) for ln Gamma_{k,nu}; for ln B_{k,nu}, with
+# (group, band) = (y/c, x/c) bands, where x >> y or y >> x cancels its terms
+LOG_GAMMA_KNU = {(None, 3): 1800, (None, 8): 7600}
+LOG_BETA_KNU = {(3, 3): 540_000, (3, 8): 1.3e10, (8, 3): 1.2e10, (8, 8): 9.3e10}
 BOUNDS = {
+    "log_gamma_knu": LOG_GAMMA_KNU,
+    "log_beta_knu": LOG_BETA_KNU,
     "polygamma_knu": _POLYGAMMA_BOUNDS,
     "polygamma": _POLYGAMMA_BOUNDS,
     "riemann_zeta": ZETA_RIEMANN,

@@ -22,7 +22,7 @@ from knugamma.signmap import GridSpec, SignMap
 SPEC = GridSpec((0.5, 2.0))
 # (record type, positional arguments, every field in declared order)
 RECORDS = [
-    (Params, (0.5, 2.0), {"k": 0.5, "nu": 2.0, "c": 1.0, "r": 0.25}),
+    (Params, (0.5, 2.0), {"k": 0.5, "nu": 2.0, "c": 1.0, "r": 0.25, "log_r": math.log(0.25)}),
     (GammaValue, (0.0, 1.0), {"log_value": 0.0, "value": 1.0}),
     (
         BoundReport,

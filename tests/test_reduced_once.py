@@ -1,10 +1,20 @@
-"""``log_beta_knu``, ``ratio_bounds`` and ``gamma_knu`` reduce their
-arguments once where every reduced argument is a normal double, and
-fall back to the ``log_gamma_knu`` composition anywhere else.  Both
-paths must give the same bits, and raise the same error class with the
-same message, as the composition written out here: one
+"""One ln Gamma_{k,nu} term, pinned twice.
+
+``log_gamma_knu`` is the only code that forms (u - 1) ln r + ln Gamma(u)
+at u = x/c.  ``gamma_knu``, ``log_beta_knu`` and ``ratio_bounds``
+compose it, and must give the same bits, and raise the same error class
+with the same message, as the composition written out here: one
 ``log_gamma_knu`` call per term, ``_log_ratio`` for every log of a
-quotient, and keyword-built records."""
+quotient, and keyword-built records.
+
+The term itself, and ``psi_knu``, ``stirling_approx`` and
+``param_transform``, which read the same ln r and ln u, are pinned to
+the expressions they were written with before ``Params`` carried ln r:
+``math.log(p.r)``, ``scalar.ln_gamma(u)``, and
+``scalar.ln_gamma(1 + u) - (ln x - ln c)`` where x/c is below the
+normal doubles.  Only one message differs: where x/c or ln Gamma(x/c)
+overflows, ``log_gamma_knu`` raises its own ``Overflow`` message, not
+``scalar.ln_gamma``'s."""
 
 import math
 import random
@@ -12,13 +22,18 @@ import sys
 
 import pytest
 
-from knugamma import Params, gamma_knu, log_beta_knu, ratio_bounds
-from knugamma.bounds import BoundReport, _log_ratio
-from knugamma.errors import DomainWindow, Overflow, ParameterRange, PoleHit
+from knugamma import (
+    Params, gamma_knu, log_beta_knu, param_transform, psi_knu, ratio_bounds, scalar, stirling_approx,
+)
+from knugamma.bounds import BoundReport
+from knugamma.errors import DomainWindow, NonPositiveArgument, Overflow, ParameterRange, PoleHit
 from knugamma.gamma import GammaValue, _exp_sat, log_gamma_knu
+from knugamma.params import _log_ratio
 
 DRAWS = 20_000
-SPECIAL = (0.0, 5e-324, 1e-310, sys.float_info.min, 1.0, sys.float_info.max, math.inf, math.nan, -1.0)
+# 2.6e305: ln Gamma of it overflows
+SPECIAL = (0.0, 5e-324, 1e-310, sys.float_info.min, 1.0, 2.6e305, sys.float_info.max, math.inf, math.nan, -1.0)
+MIN_NORMAL, MAX = sys.float_info.min, sys.float_info.max
 
 
 def _log_beta_composed(p, x, y):
@@ -64,6 +79,71 @@ def _ratio_bounds_composed(p, x1, x2, y):
     )
 
 
+def _log_gamma_parent(p, x):
+    if not (x > 0.0):
+        raise PoleHit(f"Gamma_{{k,nu}} pole set is x <= 0; got x={x}")
+    u = x / p.c
+    if u < MIN_NORMAL:
+        value = (u - 1.0) * math.log(p.r) + scalar.ln_gamma(1.0 + u) - (math.log(x) - math.log(p.c))
+    else:
+        value = (u - 1.0) * math.log(p.r) + scalar.ln_gamma(u)
+    if not (abs(value) <= MAX):
+        raise Overflow(f"log_gamma_knu({p.k}, {p.nu}, {x}) exceeds double range")
+    return value
+
+
+def _gamma_parent(p, x):
+    log_value = _log_gamma_parent(p, x)
+    return GammaValue(log_value=log_value, value=_exp_sat(log_value))
+
+
+def _psi_parent(p, x):
+    if not (x > 0.0):
+        raise PoleHit(f"psi_knu requires x > 0, got x={x}")
+    u = x / p.c
+    try:
+        value = (math.log(p.r) + scalar.digamma(u)) / p.c
+    except (NonPositiveArgument, Overflow):
+        value = (math.log(p.r) + scalar.digamma(1.0 + u)) / p.c - 1.0 / x
+    if math.isinf(value):
+        raise Overflow(f"psi_knu({p.k}, {p.nu}, {x}) exceeds double range")
+    return value
+
+
+def _stirling_parent(p, x):
+    if not (x > 0.0):
+        raise PoleHit(f"stirling_approx requires x > 0, got x={x}")
+    u = x / p.c
+    if u > MAX:
+        raise Overflow(f"stirling_approx({p.k}, {p.nu}, {x}): x/c exceeds double range")
+    log_u = math.log(u) if u >= MIN_NORMAL else math.log(x) - math.log(p.c)
+    log_r = math.log(p.r)
+    log_value = 0.5 * math.log(2.0 * math.pi) + (u - 1.0) * log_r + (u - 0.5) * log_u - u
+    if math.isnan(log_value):
+        log_value = u * (log_r + log_u - 1.0) + 0.5 * math.log(2.0 * math.pi) - log_r - 0.5 * log_u
+    value = _exp_sat(log_value)
+    if math.isinf(value):
+        raise Overflow(f"stirling_approx({p.k}, {p.nu}, {x}) exceeds double range")
+    return value
+
+
+def _param_transform_parent(from_p, to_p, x):
+    if not (x > 0.0):
+        raise PoleHit(f"param_transform requires x > 0, got x={x}")
+    factor = (to_p.k * from_p.nu) / (from_p.k * to_p.nu)
+    log_factor = math.log(factor) if MIN_NORMAL <= factor <= MAX else math.log(to_p.r) - math.log(from_p.r)
+    exponent = x / to_p.c - 1.0
+    return _exp_sat(exponent * log_factor + _log_gamma_parent(from_p, from_p.c * x / to_p.c))
+
+
+def _renamed(outcome, p, x):
+    """The one named message change: where ln Gamma(x/c) overflows,
+    ``log_gamma_knu(p, x)`` raises its own message, not ln_gamma's."""
+    if outcome[0] is Overflow and outcome[1].startswith("Overflow: ln_gamma("):
+        return Overflow, str(Overflow(f"log_gamma_knu({p.k}, {p.nu}, {x}) exceeds double range"))
+    return outcome
+
+
 def _outcome(fn, *args):
     """The bits of every float the call returns, or its error class
     and message."""
@@ -77,8 +157,9 @@ def _outcome(fn, *args):
 
 def _draw_float(rng, c):
     """A special value; or x log-uniform over 1e-330..1e308, whatever c
-    is (so that x/c can be subnormal, 0 or overflow); or x = u c with u
-    log-uniform over 1e±6.  Now and then negative."""
+    is (so that x/c can be subnormal, 0 or overflow, and ln Gamma(x/c)
+    too); or x = u c with u log-uniform over 1e±6.  Now and then
+    negative."""
     if rng.random() < 0.1:
         return rng.choice(SPECIAL)
     if rng.random() < 0.5:
@@ -120,6 +201,40 @@ def test_ratio_bounds_same_as_composition():
             x1, x2 = x2, x1
         want = _outcome(_ratio_bounds_composed, p, x1, x2, y)
         assert _outcome(ratio_bounds, p, x1, x2, y) == want, (p, x1, x2, y)
+
+
+def _same_as_parent(fn, parent, seed):
+    """Every draw gives the parent's outcome, up to the named message;
+    returns how many draws took that message."""
+    renamed = 0
+    for p, (x, _, _) in _draws(seed):
+        was = _outcome(parent, p, x)
+        want = _renamed(was, p, x)
+        renamed += want != was
+        assert _outcome(fn, p, x) == want, (p, x)
+    return renamed
+
+
+def test_log_gamma_knu_same_as_parent():
+    assert _same_as_parent(log_gamma_knu, _log_gamma_parent, 4) > 0
+
+
+def test_gamma_knu_same_as_parent():
+    assert _same_as_parent(gamma_knu, _gamma_parent, 5) > 0
+
+
+def test_psi_knu_same_as_parent():
+    assert _same_as_parent(psi_knu, _psi_parent, 6) == 0
+
+
+def test_stirling_approx_same_as_parent():
+    assert _same_as_parent(stirling_approx, _stirling_parent, 7) == 0
+
+
+def test_param_transform_same_as_parent():
+    for (from_p, _), (to_p, (x, _, _)) in zip(_draws(8), _draws(9)):
+        want = _renamed(_outcome(_param_transform_parent, from_p, to_p, x), from_p, from_p.c * x / to_p.c)
+        assert _outcome(param_transform, from_p, to_p, x) == want, (from_p, to_p, x)
 
 
 @pytest.mark.parametrize(

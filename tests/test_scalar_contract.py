@@ -433,16 +433,33 @@ def test_stirling_approx_overflow(p, x):
 )
 def test_hurwitz_knu_beyond_the_product(p, x, s):
     """Where c^(-s/c) zeta(s/c, x/c) cannot be formed from two normal
-    doubles, the log-space sum still agrees with a reference taken at
-    the digits of ``accuracy._zeta_dps`` (up to 1100 here: mpmath's
-    Hurwitz zeta loses about as many as q^-s has leading zeros)."""
+    doubles, the log-space sum still agrees with a reference.  Where the
+    second term of zeta(s/c, q) is below 1e-40 of the first, the
+    reference is the direct sum at 40 digits, stopped where the integral
+    bound of the rest, (q+n)^(1-s/c)/(s/c-1), is below 1e-45 of the
+    total.  Elsewhere it is mpmath's zeta at the digits of
+    ``accuracy._zeta_dps`` (up to 1100 here: mpmath's Hurwitz zeta loses
+    about as many as q^-s has leading zeros; at the first point it would
+    take 6221 for a sum that is 1 + 1.5^-20000 + ...)."""
     import mpmath
     from accuracy import _zeta_dps
 
     q = mpmath.mpf(x) / mpmath.mpf(p.c)  # 1e-330 at the last point: not a double
-    with mpmath.workdps(_zeta_dps(s / p.c, q, -(s / p.c) * math.log10(x))):
+    with mpmath.workdps(40):
+        direct = (q / (q + 1)) ** (mpmath.mpf(s) / mpmath.mpf(p.c)) < mpmath.mpf("1e-40")
+    with mpmath.workdps(40 if direct else _zeta_dps(s / p.c, q, -(s / p.c) * math.log10(x))):
         sc = mpmath.mpf(s) / mpmath.mpf(p.c)
-        want = mpmath.power(mpmath.mpf(p.c), -sc) * mpmath.zeta(sc, mpmath.mpf(x) / mpmath.mpf(p.c))
+        if direct:
+            zeta, n = mpmath.mpf(0), 0
+            while True:
+                term = (q + n) ** -sc
+                zeta += term
+                if term * (q + n) / (sc - 1) < zeta * mpmath.mpf("1e-45"):
+                    break
+                n += 1
+        else:
+            zeta = mpmath.zeta(sc, q)
+        want = mpmath.power(mpmath.mpf(p.c), -sc) * zeta
         assert hurwitz_knu(p, x, s) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
