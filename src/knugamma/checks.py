@@ -27,9 +27,11 @@ empties ``_VALUES`` whenever a check returns or raises, so nothing
 carries from one check to the next, between runs or into a forked
 process.
 
-numpy and the sign-map module are imported only inside the product
-table and the check that use them, so importing this module (the CLI
-does, for the suite names) loads neither.
+numpy and the sign-map module are imported only inside the
+``sign-F-antisymmetry`` check, so importing this module (the CLI does,
+for the suite names) loads neither, and nor do the identities and PDE
+suites; the oracle suite loads numpy through the oracle's product and
+limit targets.
 """
 
 import functools
@@ -289,42 +291,93 @@ def check_beta_ratio_identity(p, x, y, m, mm):
     return _rel(lhs, rhs)
 
 
+# The truncated product sum: its first _PRODUCT_HEAD factors are added
+# one by one, the rest by Euler-Maclaurin (DLMF 2.10(i)) from the
+# integral, the two end values and six Bernoulli terms.
+_PRODUCT_HEAD = 32
+# 10-point Gauss-Legendre on [-1, 1]: the nodes +-x and their weight
+_GAUSS_LEGENDRE = (
+    (0.14887433898163122, 0.29552422471475287),
+    (0.4333953941292472, 0.26926671930999635),
+    (0.6794095682990244, 0.21908636251598204),
+    (0.8650633666889845, 0.1494513491505806),
+    (0.9739065285171717, 0.06667134430868814),
+)
+# B_2k / (2k (2k-1)), k = 1..6: B_2k / (2k)! f^(2k-1) with the (2k-2)! of
+# f^(m)(s) = (-1)^(m-1) (m-1)! [s^-m + (s+u+v)^-m - (s+u)^-m - (s+v)^-m]
+_EULER_MACLAURIN = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def _log_factor(s: float, lo: float, hi: float) -> float:
+    """f(s) = ln (s (s+lo+hi) / ((s+lo) (s+hi))), lo <= hi, in any unit
+    (s = jc with x, y, or s = j with u = x/c, v = y/c).
+
+    The factor is 1 + t with t = -q_lo q_hi, q_x = x/(s + x), so f is
+    log1p(t); where t < -1/2 (the first factors where x/c is large) it
+    is the log of (s/(s+lo)) ((s+hi+lo)/(s+hi)) instead, which stays
+    finite where t rounds to -1 (c <= 1e-20 on small x)."""
+    t = -((lo / (s + lo)) * (hi / (s + hi)))
+    if t >= -0.5:
+        return math.log1p(t)
+    return math.log((s / (s + lo)) * ((s + hi + lo) / (s + hi)))
+
+
+def _tail_nodes(n: int) -> List[Tuple[float, float]]:
+    """Nodes s and weights of the integral over [_PRODUCT_HEAD + 1, n]:
+    Gauss-Legendre in ln s on equal panels no wider than 1, so each
+    weight carries the ds = s d(ln s)."""
+    lo, hi = math.log(_PRODUCT_HEAD + 1), math.log(n)
+    panels = math.ceil(hi - lo)
+    if not panels:
+        return []
+    h = (hi - lo) / panels
+    nodes = []
+    for i in range(panels):
+        mid = lo + (i + 0.5) * h
+        for x, w in _GAUSS_LEGENDRE:
+            for tau in (mid - 0.5 * h * x, mid + 0.5 * h * x):
+                s = math.exp(tau)
+                nodes.append((s, 0.5 * h * w * s))
+    return nodes
+
+
+def _derivative_terms(s: float, u: float, v: float) -> List[float]:
+    """The six Bernoulli terms at s, as terms for ``math.fsum``.
+    f'(s) = q_u q_v (1/s + 1/(s+u+v)) is taken in one piece, since its
+    four powers cancel to ~uv/s^3 where u and v are small; the higher
+    orders are far below the sum's last bit there."""
+    w = u + v
+    b = _EULER_MACLAURIN[0]
+    terms = [b * ((u / (s + u)) * (v / (s + v)) * (1.0 / s + 1.0 / (s + w)))]
+    for m, b in zip(range(3, 12, 2), _EULER_MACLAURIN[1:]):
+        terms += (b * s**-m, b * (s + w) ** -m, -b * (s + u) ** -m, -b * (s + v) ** -m)
+    return terms
+
+
 def _log_truncated_products(c: float, xs: Sequence[float], n: int) -> List[List[float]]:
     """ln prod_{j=1..n} (1 + (x+y)/(jc)) / ((1 + x/(jc))(1 + y/(jc))) for
-    each ordered pair of ``xs``: table[a][b] for (xs[a], xs[b]).
+    each ordered pair of ``xs``: table[a][b] for (xs[a], xs[b]), and
+    (x, y) and (y, x) share one sum.
 
-    The factor at j is 1 + t with t = -q_x q_y, q_x = x/(jc + x), so a
-    pair costs one multiply, one log1p and one sum, and (x, y) and (y, x)
-    share them.  t rises with j toward 0; on the head where t < -1/2 the
-    log is taken of (jc/(jc+x)) ((jc+y+x)/(jc+y)) itself, with x <= y,
-    which stays finite where t rounds to -1 (c <= 1e-20 on small x)."""
-    import numpy as np
-
-    jc = np.arange(1, n + 1, dtype=np.float64)
-    jc *= c
-    q = np.empty((len(xs), n))
-    for a, x in enumerate(xs):
-        np.add(jc, x, out=q[a])
-        np.divide(x, q[a], out=q[a])
-    t = np.empty(n)
+    With u = x/c and v = y/c the j-th log-factor is f(j) =
+    ln j + ln(j+u+v) - ln(j+u) - ln(j+v), smooth in j.  The sum takes
+    f(1..32) directly (at s = jc) and the rest, j = 33..n, by
+    Euler-Maclaurin: about 130 values of f per pair, all combined by
+    ``math.fsum``."""
+    nodes = _tail_nodes(n) if n > _PRODUCT_HEAD else []
+    a_end, n_end = float(_PRODUCT_HEAD + 1), float(n)
     table = [[0.0] * len(xs) for _ in xs]
     for a in range(len(xs)):
         for b in range(a, len(xs)):
-            np.multiply(q[a], q[b], out=t)
-            np.negative(t, out=t)
-            head = int(np.searchsorted(t, -0.5))
-            np.log1p(t[head:], out=t[head:])
-            if head:
-                x, y = sorted((xs[a], xs[b]))
-                jh, th = jc[:head], t[:head]
-                w = jh + y
-                np.add(w, x, out=th)
-                np.divide(th, w, out=th)
-                np.add(jh, x, out=w)
-                np.divide(jh, w, out=w)
-                np.multiply(th, w, out=th)
-                np.log(th, out=th)
-            table[a][b] = table[b][a] = float(t.sum())
+            lo, hi = sorted((xs[a], xs[b]))
+            terms = [_log_factor(j * c, lo, hi) for j in range(1, min(n, _PRODUCT_HEAD) + 1)]
+            if n > _PRODUCT_HEAD:
+                u, v = lo / c, hi / c
+                terms += [w * _log_factor(s, u, v) for s, w in nodes]
+                terms += (0.5 * _log_factor(a_end, u, v), 0.5 * _log_factor(n_end, u, v))
+                terms += _derivative_terms(n_end, u, v)
+                terms += [-d for d in _derivative_terms(a_end, u, v)]
+            table[a][b] = table[b][a] = math.fsum(terms)
     return table
 
 
@@ -335,7 +388,8 @@ def check_beta_product_truncation(g: _Grid, t: _Tally) -> None:
     # cell: 1e-3 where x y/c^2 is moderate, ~6e-3 at the grid corner.
     # The check normalizes each cell by its O(1/N) envelope (factor-2
     # slack), which is what the identity actually promises.  The table
-    # depends only on c, so (k, nu) and (nu, k) share it.
+    # depends only on c, so (k, nu) and (nu, k) share it; it sums the
+    # 10^5 factors' logs in pure Python from ~130 values per pair.
     n_factors = 100_000
     tables: Dict[float, List[List[float]]] = {}
     for p in g.params:

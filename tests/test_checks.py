@@ -213,19 +213,9 @@ def test_jensen_beta_bound_outside_its_regions_fails(monkeypatch):
 
 
 def _log_product_direct(c, x, y, n):
-    """One cell of the product table from fresh arrays: each factor
-    1 + t with t = -q_x q_y, and ln of the factor itself, taken with
-    x <= y, where t < -1/2."""
-    jc = np.arange(1, n + 1, dtype=np.float64) * c
-    t = -((x / (jc + x)) * (y / (jc + y)))
-    head = np.searchsorted(t, -0.5)
-    lo, hi = sorted((x, y))
-    jh = jc[:head]
-    terms = np.concatenate((
-        np.log((jh / (jh + lo)) * ((jh + hi + lo) / (jh + hi))),
-        np.log1p(t[head:]),
-    ))
-    return float(terms.sum())
+    """One cell of the product table from its own call, on the pair
+    (x, y) alone, so nothing is shared with another pair."""
+    return checks._log_truncated_products(c, (x, y), n)[0][1]
 
 
 def _beta_product_truncation_direct(g):
@@ -259,33 +249,69 @@ def test_beta_product_truncation_matches_direct_loop():
 
 @pytest.mark.parametrize("c", [1e-200, 1e-3, 1.0, 9.0])
 def test_log_truncated_products_match_direct_cells(c):
-    # every cell, not only the worst one the check reports; the head
-    # (t < -1/2) is empty at c = 9, up to 2 factors at c = 1, 165 to all
-    # 1000 at c = 1e-3 and the whole product at c = 1e-200
+    # every cell, not only the worst one the check reports; the log of
+    # the factor itself (t < -1/2) is never taken at c = 9, is taken up
+    # to j = 2 at c = 1, and at every head factor at c = 1e-3 and c =
+    # 1e-200, as at every tail node at c = 1e-200
     xs, n = (6.0, 0.4, 2.5, 2.5, 1.1), 1000
     table = checks._log_truncated_products(c, xs, n)
     assert table == [[_log_product_direct(c, x, y, n) for y in xs] for x in xs]
 
 
-@pytest.mark.parametrize("c", [1e-200, 1e-20, 1e-3, 0.25, 1.0, 9.0, 1e3, 1e100, 1e200])
-def test_log_truncated_products_match_closed_form(c):
-    # prod_{j<=N} of the factor is
-    # G(N+1+u+v) G(1+u) G(1+v) G(N+1) / (G(1+u+v) G(N+1+u) G(N+1+v)),
-    # u = x/c, v = y/c.  Where u is huge the log-Gamma terms cancel over
-    # ~200 digits, so the reference takes 450.
+def _log_product_reference(c, x, y, n):
+    """ln prod_{j<=n} of the factor in closed form,
+    G(n+1+u+v) G(1+u) G(1+v) G(n+1) / (G(1+u+v) G(n+1+u) G(n+1+v)),
+    u = x/c, v = y/c, rounded once.  Where u is huge the log-Gamma terms
+    cancel over ~200 digits, so the reference takes 450."""
     import mpmath
 
-    xs, n = (0.4, 1.1, 2.5, 6.0), 100_000
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        table = checks._log_truncated_products(c, xs, n)
     lg = mpmath.loggamma
     with mpmath.workdps(60 if c >= 1e-3 else 450):
+        u, v = mpmath.mpf(x) / c, mpmath.mpf(y) / c
+        return float(
+            lg(n + 1 + u + v) + lg(1 + u) + lg(1 + v) + lg(n + 1)
+            - lg(1 + u + v) - lg(n + 1 + u) - lg(n + 1 + v)
+        )
+
+
+# --grid 0.7,1.3,4, beside the default grid
+OTHER_GRID = (0.7, 1.3, 4.0)
+# c = k nu on both grids, where the check takes its products
+GRID_C = sorted({Params(k, nu).c for grid in (checks.GRID_KNU, OTHER_GRID) for k in grid for nu in grid})
+
+
+@pytest.mark.parametrize(
+    "c",
+    [1e-200, 1e-20, 1e-3, 0.25, 1.0, 9.0, 1e3, 1e100, 1e200]
+    + [c for c in GRID_C if c not in (0.25, 1.0, 9.0)],
+)
+def test_log_truncated_products_match_closed_form(c):
+    # n = 1 and 32 are direct sums alone; from 33 the Euler-Maclaurin
+    # tail starts, with no panel at n = 33 and four at n = 1000
+    xs = checks.GRID_X
+    for n in (1, 32, 33, 1000, 100_000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = checks._log_truncated_products(c, xs, n)
         for a, x in enumerate(xs):
             for b, y in enumerate(xs):
-                u, v = mpmath.mpf(x) / c, mpmath.mpf(y) / c
-                want = float(
-                    lg(n + 1 + u + v) + lg(1 + u) + lg(1 + v) + lg(n + 1)
-                    - lg(1 + u + v) - lg(n + 1 + u) - lg(n + 1 + v)
-                )
-                assert abs(table[a][b] - want) <= 1e-15 * max(1.0, abs(want)), (x, y)
+                want = _log_product_reference(c, x, y, n)
+                assert abs(table[a][b] - want) <= 1e-15 * max(1.0, abs(want)), (x, y, n)
+
+
+@pytest.mark.parametrize(
+    "grid,max_dev",
+    [(checks.GRID_KNU, 0.4998050617328837), (OTHER_GRID, 0.49979801383146827)],
+    ids=["default", "0.7,1.3,4"],
+)
+def test_beta_product_truncation_max_dev_from_exact_products(monkeypatch, grid, max_dev):
+    # the check's result, max_dev to the last bit, is the one it gives
+    # with every log-product rounded once from its closed form
+    g = checks._Grid([Params(k, nu) for k in grid for nu in grid], checks.GRID_X)
+    got = checks.check_beta_product_truncation(g)
+    monkeypatch.setattr(
+        checks, "_log_truncated_products",
+        lambda c, xs, n: [[_log_product_reference(c, x, y, n) for y in xs] for x in xs],
+    )
+    assert got == checks.check_beta_product_truncation(g)
+    assert got.max_dev == max_dev

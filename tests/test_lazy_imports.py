@@ -2,7 +2,8 @@
 the fork helper (with pickle) are loaded only by the code that uses
 them: importing the package or the CLI, and the ``knu eval`` and
 ``knu bounds`` commands, leave them unloaded, and load neither
-dataclasses nor inspect.  The package still
+dataclasses nor inspect; ``knu check`` runs its identities and PDE
+suites without numpy.  The package still
 resolves every public name and submodule on first access, and the CLI
 still rejects an unknown suite or oracle target by name."""
 
@@ -45,6 +46,22 @@ def test_scalar_paths_load_no_numpy(code):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("suite", ["identities", "pde"])
+def test_check_suites_run_without_numpy(suite):
+    # numpy cannot be imported here, nor in the children fork_map starts,
+    # so a check that reached for it would exit non-zero
+    probe = (
+        "import sys\nsys.modules['numpy'] = None\n"
+        f"from knugamma import cli\nsys.exit(cli.main(['check', '--suite', {suite!r}]))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("PASS ")
 
 
 def test_signmap_names_resolve_to_the_module():
