@@ -29,9 +29,8 @@ process.
 
 numpy and the sign-map module are imported only inside the
 ``sign-F-antisymmetry`` check, so importing this module (the CLI does,
-for the suite names) loads neither, and nor do the identities and PDE
-suites; the oracle suite loads numpy through the oracle's product and
-limit targets.
+for the suite names) loads neither, and nor do the identities, oracle
+and PDE suites.
 """
 
 import functools
@@ -55,7 +54,7 @@ from .gamma import (
     pochhammer,
     stirling_approx,
 )
-from .oracle import oracle_eval
+from .oracle import _em_sum, oracle_eval
 from .params import Params, Record
 from .psi import pde_residuals, polygamma_knu, psi_knu, psi_shift_sum
 from .zeta import hurwitz_knu, zeta_knu
@@ -291,23 +290,6 @@ def check_beta_ratio_identity(p, x, y, m, mm):
     return _rel(lhs, rhs)
 
 
-# The truncated product sum: its first _PRODUCT_HEAD factors are added
-# one by one, the rest by Euler-Maclaurin (DLMF 2.10(i)) from the
-# integral, the two end values and six Bernoulli terms.
-_PRODUCT_HEAD = 32
-# 10-point Gauss-Legendre on [-1, 1]: the nodes +-x and their weight
-_GAUSS_LEGENDRE = (
-    (0.14887433898163122, 0.29552422471475287),
-    (0.4333953941292472, 0.26926671930999635),
-    (0.6794095682990244, 0.21908636251598204),
-    (0.8650633666889845, 0.1494513491505806),
-    (0.9739065285171717, 0.06667134430868814),
-)
-# B_2k / (2k (2k-1)), k = 1..6: B_2k / (2k)! f^(2k-1) with the (2k-2)! of
-# f^(m)(s) = (-1)^(m-1) (m-1)! [s^-m + (s+u+v)^-m - (s+u)^-m - (s+v)^-m]
-_EULER_MACLAURIN = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
-
-
 def _log_factor(s: float, lo: float, hi: float) -> float:
     """f(s) = ln (s (s+lo+hi) / ((s+lo) (s+hi))), lo <= hi, in any unit
     (s = jc with x, y, or s = j with u = x/c, v = y/c).
@@ -322,36 +304,15 @@ def _log_factor(s: float, lo: float, hi: float) -> float:
     return math.log((s / (s + lo)) * ((s + hi + lo) / (s + hi)))
 
 
-def _tail_nodes(n: int) -> List[Tuple[float, float]]:
-    """Nodes s and weights of the integral over [_PRODUCT_HEAD + 1, n]:
-    Gauss-Legendre in ln s on equal panels no wider than 1, so each
-    weight carries the ds = s d(ln s)."""
-    lo, hi = math.log(_PRODUCT_HEAD + 1), math.log(n)
-    panels = math.ceil(hi - lo)
-    if not panels:
-        return []
-    h = (hi - lo) / panels
-    nodes = []
-    for i in range(panels):
-        mid = lo + (i + 0.5) * h
-        for x, w in _GAUSS_LEGENDRE:
-            for tau in (mid - 0.5 * h * x, mid + 0.5 * h * x):
-                s = math.exp(tau)
-                nodes.append((s, 0.5 * h * w * s))
-    return nodes
-
-
-def _derivative_terms(s: float, u: float, v: float) -> List[float]:
-    """The six Bernoulli terms at s, as terms for ``math.fsum``.
+def _log_factor_derivatives(s: float, u: float, v: float) -> List[Tuple[float, ...]]:
+    """f^(m)(s)/(m-1)! of ``_log_factor``'s f for m = 1, 3, ..., 11,
+    s^-m + (s+u+v)^-m - (s+u)^-m - (s+v)^-m, as pieces for ``_em_sum``.
     f'(s) = q_u q_v (1/s + 1/(s+u+v)) is taken in one piece, since its
     four powers cancel to ~uv/s^3 where u and v are small; the higher
     orders are far below the sum's last bit there."""
     w = u + v
-    b = _EULER_MACLAURIN[0]
-    terms = [b * ((u / (s + u)) * (v / (s + v)) * (1.0 / s + 1.0 / (s + w)))]
-    for m, b in zip(range(3, 12, 2), _EULER_MACLAURIN[1:]):
-        terms += (b * s**-m, b * (s + w) ** -m, -b * (s + u) ** -m, -b * (s + v) ** -m)
-    return terms
+    first = ((u / (s + u)) * (v / (s + v)) * (1.0 / s + 1.0 / (s + w)),)
+    return [first] + [(s**-m, (s + w) ** -m, -(s + u) ** -m, -(s + v) ** -m) for m in range(3, 12, 2)]
 
 
 def _log_truncated_products(c: float, xs: Sequence[float], n: int) -> List[List[float]]:
@@ -361,23 +322,17 @@ def _log_truncated_products(c: float, xs: Sequence[float], n: int) -> List[List[
 
     With u = x/c and v = y/c the j-th log-factor is f(j) =
     ln j + ln(j+u+v) - ln(j+u) - ln(j+v), smooth in j.  The sum takes
-    f(1..32) directly (at s = jc) and the rest, j = 33..n, by
-    Euler-Maclaurin: about 130 values of f per pair, all combined by
-    ``math.fsum``."""
-    nodes = _tail_nodes(n) if n > _PRODUCT_HEAD else []
-    a_end, n_end = float(_PRODUCT_HEAD + 1), float(n)
+    f(1..32) directly (at s = jc) and the rest, j = 33..n, by the
+    oracle's Euler-Maclaurin sum ``_em_sum``: about 130 values of f per
+    pair."""
     table = [[0.0] * len(xs) for _ in xs]
     for a in range(len(xs)):
         for b in range(a, len(xs)):
             lo, hi = sorted((xs[a], xs[b]))
-            terms = [_log_factor(j * c, lo, hi) for j in range(1, min(n, _PRODUCT_HEAD) + 1)]
-            if n > _PRODUCT_HEAD:
-                u, v = lo / c, hi / c
-                terms += [w * _log_factor(s, u, v) for s, w in nodes]
-                terms += (0.5 * _log_factor(a_end, u, v), 0.5 * _log_factor(n_end, u, v))
-                terms += _derivative_terms(n_end, u, v)
-                terms += [-d for d in _derivative_terms(a_end, u, v)]
-            table[a][b] = table[b][a] = math.fsum(terms)
+            u, v = lo / c, hi / c
+            table[a][b] = table[b][a] = _em_sum(
+                lambda j: _log_factor(j * c, lo, hi), lambda s: _log_factor(s, u, v),
+                lambda s: _log_factor_derivatives(s, u, v), n)[0]
     return table
 
 

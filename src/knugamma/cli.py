@@ -17,10 +17,10 @@ CPU, a platform without fork, or a caller with other threads running,
 runs serially in-process.
 
 numpy, the sign-map module, the check suites, the oracle and json are
-imported by the commands that use them (``signmap``, ``check``,
-``eval --oracle``, the ``gamma-limit``/``recip-product`` oracle targets
-and ``--format json``), not at start-up, so ``eval`` and ``bounds``
-start without them.  The ``--suite`` and ``--target`` names are read
+imported by the commands that use them (``signmap`` and the
+``sign-F-antisymmetry`` check, ``check``, ``eval --oracle`` and
+``--format json``), not at start-up, so ``eval`` and ``bounds`` start
+without them.  The ``--suite`` and ``--target`` names are read
 from their modules when argparse first consults them.
 """
 

@@ -11,15 +11,22 @@ arguments, handled by power substitutions t = u^p chosen so the
 transformed integrand is at least C^1 at the endpoint; infinite upper
 limits are mapped by t = a + v/(1-v).  Kronrod nodes are strictly
 interior, so singular endpoints are never evaluated.
+
+The limit and product targets sum up to 10^7 log terms with
+``_em_sum``: 32 terms one by one, the rest by Euler-Maclaurin from
+closed-form derivatives, about 130 term values in all.  It is the
+package's one truncated-series sum (the checks' truncated Beta product
+uses it too), and it needs only ``math``, so the oracle loads no numpy.
 """
 
+import functools
 import heapq
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
-from .constants import _MIN_NORMAL, EULER_GAMMA
+from .constants import EULER_GAMMA
 from .errors import DivergentSeries, DomainWindow, NonPositiveArgument, Overflow, PoleHit
-from .params import Params, Record
+from .params import Params, Record, _log_ratio
 
 __all__ = ["OracleResult", "oracle_eval", "ORACLE_TARGETS"]
 
@@ -358,47 +365,87 @@ def _sine_integral(_p: Optional[Params], x: float):
 
 
 # ----------------------------------------------------------------------
-# series / product targets (numpy-vectorized, chunked); numpy is
-# imported inside them, so the rest of the package never loads it.  A
-# chunk's terms are built in place in its own array, with one reused
-# _BLOCK-sized buffer for the values an elementwise step needs beside
-# it: no chunk-sized temporaries, whose fresh pages the allocator
-# would fault in again on every call.
+# series / product targets
 
-_CHUNK = 1 << 20
-_BLOCK = 1 << 15
-
-
-def _sums(terms, n: int, half: int):
-    """The sums of the terms j = 1..n and j = 1..half (1 <= half <= n)
-    from one pass over chunks of _CHUNK terms; ``terms(j0, j1)`` gives
-    the array of terms j0..j1.  Each sum adds its chunk sums in order,
-    and the chunk that holds ``half`` adds the sum of its prefix, so the
-    half-length sum has the bits a pass of its own would give."""
-    total = total_half = 0.0
-    j0 = 1
-    while j0 <= n:
-        j1 = min(n, j0 + _CHUNK - 1)
-        chunk = terms(j0, j1)
-        s = float(chunk.sum())
-        total += s
-        if j1 <= half:
-            total_half += s
-        elif j0 <= half:
-            total_half += float(chunk[: half - j0 + 1].sum())
-        j0 = j1 + 1
-    return total, total_half
+# A truncated series of smooth terms f(j), j = 1..n: its first _EM_HEAD
+# terms are added one by one, the rest by Euler-Maclaurin (DLMF 2.10(i))
+# from the integral, the two end values and six Bernoulli terms.
+_EM_HEAD = 32
+# 10-point Gauss-Legendre on [-1, 1]: the nodes +-x and their weight
+_GAUSS_LEGENDRE = (
+    (0.14887433898163122, 0.29552422471475287),
+    (0.4333953941292472, 0.26926671930999635),
+    (0.6794095682990244, 0.21908636251598204),
+    (0.8650633666889845, 0.1494513491505806),
+    (0.9739065285171717, 0.06667134430868814),
+)
+# B_2k / (2k (2k-1)), k = 1..6: the weight B_2k / (2k)! of f^(2k-1),
+# times the (2k-2)! that ``_em_sum``'s callers divide it by
+_EULER_MACLAURIN = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
-def _blocks(a):
-    """(view, buffer) pairs over ``a`` in blocks of _BLOCK elements, all
-    sharing one buffer."""
-    import numpy as np
+@functools.lru_cache(maxsize=16)
+def _tail_nodes(n: int) -> Tuple[Tuple[float, float], ...]:
+    """Nodes s and weights of the integral over [_EM_HEAD + 1, n]:
+    Gauss-Legendre in ln s on equal panels no wider than 1, so each
+    weight carries the ds = s d(ln s)."""
+    lo, hi = math.log(_EM_HEAD + 1), math.log(n)
+    panels = math.ceil(hi - lo)
+    if not panels:
+        return ()
+    h = (hi - lo) / panels
+    nodes = []
+    for i in range(panels):
+        mid = lo + (i + 0.5) * h
+        for x, w in _GAUSS_LEGENDRE:
+            for tau in (mid - 0.5 * h * x, mid + 0.5 * h * x):
+                s = math.exp(tau)
+                nodes.append((s, 0.5 * h * w * s))
+    return tuple(nodes)
 
-    buf = np.empty(min(_BLOCK, len(a)))
-    for i in range(0, len(a), _BLOCK):
-        view = a[i:i + _BLOCK]
-        yield view, buf[:len(view)]
+
+def _em_sum(head: Callable[[int], float], f: Callable[[float], float],
+            derivatives: Callable[[float], Sequence[Sequence[float]]], n: int) -> Tuple[float, int]:
+    """sum_{j=1..n} f(j), and the number of term values it took.
+
+    ``head(j)`` gives the terms j = 1.._EM_HEAD one by one, in whatever
+    form is accurate there.  The rest, j = _EM_HEAD+1..n, is the
+    integral of ``f`` over [_EM_HEAD+1, n], its two end values and the
+    Bernoulli terms of f', f''', ..., f^(11): ``derivatives(s)`` gives
+    those six, each as pieces that add to f^(m)(s)/(m-1)!.  All the
+    terms go to one ``math.fsum``, so their order does not matter."""
+    terms = [head(j) for j in range(1, min(n, _EM_HEAD) + 1)]
+    if n <= _EM_HEAD:
+        return math.fsum(terms), n
+    a_end, n_end = float(_EM_HEAD + 1), float(n)
+    terms += [w * f(s) for s, w in _tail_nodes(n)]
+    terms += (0.5 * f(a_end), 0.5 * f(n_end))
+    evals = len(terms)
+    terms += [b * d for b, ds in zip(_EULER_MACLAURIN, derivatives(n_end)) for d in ds]
+    terms += [-b * d for b, ds in zip(_EULER_MACLAURIN, derivatives(a_end)) for d in ds]
+    return math.fsum(terms), evals
+
+
+def _reduced(p: Params, x: float, what: str) -> Tuple[float, float]:
+    """u = x/c and ln u for a series target; ``Overflow`` where u is
+    infinite."""
+    u = x / p.c
+    if math.isinf(u):
+        raise Overflow(f"{what}: x/(k nu) = {x}/{p.c} exceeds the double range")
+    return u, _log_ratio(x, p.c)
+
+
+def _truncated(head, f, derivatives, rest: Callable[[int], float], n: int, half: int):
+    """A series target's result: its value exp(sum_{j<=m} f(j) + rest(m))
+    at m = n, that value's distance to the one at m = ``half`` as the
+    error estimate, and the term values both sums took (``_em_sum``
+    takes ``head``, ``f`` and ``derivatives``).  ``Overflow`` where
+    either value is beyond the double range; a log of -inf is a 0."""
+    (log_n, evals_n), (log_half, evals_half) = (_em_sum(head, f, derivatives, m) for m in (n, half))
+    value, value_half = math.exp(log_n + rest(n)), math.exp(log_half + rest(half))
+    if math.isinf(value) or math.isinf(value_half):
+        raise Overflow(f"truncated value exceeds double range at n={n}")
+    return value, abs(value - value_half), evals_n + evals_half, True
 
 
 def _gamma_limit(p: Params, x: float, n: int):
@@ -411,80 +458,47 @@ def _gamma_limit(p: Params, x: float, n: int):
     if n < 2:
         raise DomainWindow(f"gamma limit requires n >= 2, got {n}")
     n = min(n, _MAX_TERMS)
-    import numpy as np
+    u, log_u = _reduced(p, x, "gamma limit")
+    a = u - 1.0
 
-    c = p.c
-    u = x / c
+    # ln[ m! c^m (m r)^(u-1) / (x)_{m,c} ] = sum_j f(j) + (u-1) ln(m r),
+    # f(j) = ln(j c / (x + (j-1) c)) = -ln(1 + (u-1)/j), and f(1) = -ln u;
+    # the terms are O(1/j), so no catastrophic cancellation against the
+    # (u-1) ln(m r) compensation.
+    def f(s: float) -> float:
+        return -math.log1p(a / s)
 
-    # ln[ m! c^m (m r)^(u-1) / (x)_{m,c} ] at m = n and m = n // 2; the
-    # per-term form ln(j c / (x + (j-1) c)) keeps partial sums O(ln n), so
-    # no catastrophic cancellation against the (u-1) ln(m r) compensation.
-    def terms(j0: int, j1: int):
-        j = np.arange(j0, j1 + 1, dtype=np.float64)
-        # j c or x + (j-1) c overflows in this chunk where c is near
-        # DBL_MAX: the same ratio is then taken as j / (x/c + j - 1)
-        scaled = math.isinf(j1 * c) or math.isinf(x + (j1 - 1.0) * c)
-        # the first term c/x overflows where x < c/DBL_MAX: its log is
-        # taken as ln c - ln x there (errstate None leaves a setting as is)
-        first_overflows = j0 == 1 and math.isinf(c / x)
-        flag = "ignore" if first_overflows else None
-        with np.errstate(over=flag, divide=flag):
-            for jb, den in _blocks(j):
-                np.subtract(jb, 1.0, out=den)
-                if scaled:
-                    den += u
-                else:
-                    den *= c
-                    den += x
-                    jb *= c
-                jb /= den
-            np.log(j, out=j)
-        if first_overflows:
-            j[0] = math.log(c) - math.log(x)
-        return j
+    def head(j: int) -> float:
+        return f(j) if j > 1 else -log_u
 
-    half_n = n // 2
-    total, total_half = _sums(terms, n, half_n)
-    lr = math.log(p.r)
-    value = math.exp(total + (u - 1.0) * (math.log(n) + lr))
-    half = math.exp(total_half + (u - 1.0) * (math.log(half_n) + lr))
-    err = abs(value - half)
-    return value, err, n + half_n, True
+    def derivatives(s: float):  # f^(m)(s)/(m-1)! = s^-m - (s+u-1)^-m
+        return [(a / (s + a) / s,)] + [(s**-m, -(s + a) ** -m) for m in range(3, 12, 2)]
+
+    return _truncated(head, f, derivatives, lambda m: a * (math.log(m) + p.log_r), n, n // 2)
 
 
 def _recip_product(p: Params, x: float, n_terms: int):
-    """Truncated Weierstrass-type product for 1/Gamma_{k,nu}(x)."""
+    """Truncated Weierstrass-type product for 1/Gamma_{k,nu}(x) =
+    r^(1-u) u e^(gamma u) prod_j (1 + u/j) e^(-u/j), u = x/c."""
     if not (x > 0.0):
         raise PoleHit(f"recip product requires x > 0, got {x}")
     n_terms = int(n_terms)
     if n_terms < 1:
         raise DomainWindow(f"recip product requires n_terms >= 1, got {n_terms}")
     n_terms = min(n_terms, _MAX_TERMS)
-    import numpy as np
+    u, log_u = _reduced(p, x, "recip product")
 
-    c = p.c
-    u = x / c
+    def f(s: float) -> float:  # ln(1 + w) - w, w = u/s
+        w = u / s
+        return math.log1p(w) - w
 
-    def terms(j0: int, j1: int):  # ln(1 + w) - w, w = x/(j c)
-        w = np.arange(j0, j1 + 1, dtype=np.float64)
-        with np.errstate(over="ignore"):  # j c = inf where c is near the top of the doubles: its term is 0
-            w *= c
-        np.divide(x, w, out=w)
-        for wb, log1p in _blocks(w):
-            np.log1p(wb, out=log1p)
-            np.subtract(log1p, wb, out=wb)
-        return w
+    def derivatives(s: float):  # f^(m)(s)/(m-1)! = (s+u)^-m - s^-m + m u s^-(m+1)
+        return [((u / s) * (u / (s + u)) / s,)] + [
+            ((s + u) ** -m, -s**-m, (u / s) * (m * s**-m)) for m in range(3, 12, 2)
+        ]
 
-    tail, tail_half = _sums(terms, n_terms, max(1, n_terms // 2))
-    log_pref = (u - 1.0) * math.log(p.nu) - u * math.log(p.k)
-    # where x/nu is below the normal doubles it has lost bits or is 0;
-    # ln x - ln nu has not
-    x_nu = x / p.nu
-    log_pref += (math.log(x_nu) if x_nu >= _MIN_NORMAL else math.log(x) - math.log(p.nu)) + EULER_GAMMA * u
-    value = math.exp(log_pref + tail)
-    half = math.exp(log_pref + tail_half)
-    err = abs(value - half)
-    return value, err, n_terms + n_terms // 2, True
+    log_pref = (1.0 - u) * p.log_r + log_u + EULER_GAMMA * u
+    return _truncated(f, f, derivatives, lambda m: log_pref, n_terms, max(1, n_terms // 2))
 
 
 # ----------------------------------------------------------------------

@@ -683,6 +683,27 @@ def test_eval_fast_paths_any_float(fn, values, fmt):
 
 
 @CLI_PROPERTY
+@given(
+    st.sampled_from(["gamma-limit", "recip-product"]),
+    st.fixed_dictionaries(
+        {"k": st.floats(), "nu": st.floats(), "x": st.floats(), "n": st.integers(1, 10_000_000)}
+    ),
+    st.sampled_from(["text", "json"]),
+)
+# x/nu overflows; the terms' sum overflows; (u-1) ln nu - u ln k reads inf - inf
+@example("recip-product", {"k": 2.4578022559450376e35, "nu": 3.4931628066306663e-68,
+                           "x": 1.851494099511729e242, "n": 2230}, "text")
+@example("recip-product", {"k": 1e-3, "nu": 1e-3, "x": 1e302, "n": 100_000}, "text")
+@example("gamma-limit", {"k": 1e-3, "nu": 1e-3, "x": 1e302, "n": 100_000}, "json")
+@example("recip-product", {"k": 1e-150, "nu": 1e-150, "x": 1e8, "n": 1000}, "json")
+def test_eval_series_targets_any_float(target, values, fmt):
+    # a warning is an error here, so none can reach stderr unseen
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_value_or_one_error_line(["eval", "--fn", "gamma", "--oracle", "--target", target], values, fmt)
+
+
+@CLI_PROPERTY
 @given(BOUNDS_VALUES, st.sampled_from(["text", "json"]))
 @example({"k": 1e100, "nu": 1e100, "x1": 1e-300, "x2": 1.0, "y": 1.0}, "text")
 @example({"k": 1.0, "nu": 1.0, "x1": 1e-300, "x2": 1e300, "y": 1e-300}, "json")

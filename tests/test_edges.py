@@ -75,7 +75,9 @@ class TestCliOracleTargets:
         obj = json.loads(out)
         assert obj["target"] == "gamma-limit"
         assert obj["value"] == pytest.approx(2.1708037636748028, rel=1e-4)
-        assert obj["effort"] == 200000 + 100000
+        # 32 head terms, 10 Gauss-Legendre nodes on each of 9 panels and
+        # 2 end values, at n = 200000 and at n = 100000
+        assert obj["effort"] == 2 * (32 + 90 + 2)
 
     def test_recip_product_target(self, capsys):
         code, out, _ = run_cli(

@@ -2,8 +2,8 @@
 the fork helper (with pickle) are loaded only by the code that uses
 them: importing the package or the CLI, and the ``knu eval`` and
 ``knu bounds`` commands, leave them unloaded, and load neither
-dataclasses nor inspect; ``knu check`` runs its identities and PDE
-suites without numpy.  The package still
+dataclasses nor inspect; ``knu check`` runs its identities, oracle and
+PDE suites, and ``knu eval`` its series oracle targets, without numpy.  The package still
 resolves every public name and submodule on first access, and the CLI
 still rejects an unknown suite or oracle target by name."""
 
@@ -48,7 +48,7 @@ def test_scalar_paths_load_no_numpy(code):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("suite", ["identities", "pde"])
+@pytest.mark.parametrize("suite", ["identities", "oracle", "pde"])
 def test_check_suites_run_without_numpy(suite):
     # numpy cannot be imported here, nor in the children fork_map starts,
     # so a check that reached for it would exit non-zero
@@ -62,6 +62,18 @@ def test_check_suites_run_without_numpy(suite):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("PASS ")
+
+
+@pytest.mark.parametrize("target", ["gamma-limit", "recip-product"])
+def test_series_targets_run_without_numpy(target):
+    argv = ["eval", "--fn", "gamma", "--x", "2.5", "--n", "100000", "--oracle", "--target", target]
+    probe = f"import sys\nsys.modules['numpy'] = None\nfrom knugamma import cli\nsys.exit(cli.main({argv!r}))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1].startswith("converged ")
 
 
 def test_signmap_names_resolve_to_the_module():

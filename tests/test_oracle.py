@@ -4,7 +4,6 @@ meant to police."""
 import ast
 import math
 import sys
-import warnings
 
 import pytest
 
@@ -22,8 +21,6 @@ from knugamma import (
     psi_knu,
     zeta_knu,
 )
-
-from knugamma.constants import EULER_GAMMA
 
 SQRT_32_PI = 2.1708037636748028
 
@@ -197,78 +194,12 @@ class TestEffortAccounting:
         assert res.effort >= 30 and res.effort % 15 == 0
 
     def test_series_effort_counts_terms(self):
+        # 32 head terms, 10 Gauss-Legendre nodes on each of 4 (n = 1024)
+        # and 3 (n = 512) panels, and 2 end values; below 33 terms, each
         res = oracle_eval("gamma-limit", Params(1, 1), [1.5, 1024])
-        assert res.effort == 1024 + 512
-
-
-def _two_pass_limit(p, x, n):
-    """The limit target as two chunked passes, one per truncation
-    length, each chunk's terms built from fresh arrays."""
-    import numpy as np
-
-    c, u = p.c, x / p.c
-
-    def log_value(m):
-        total, j0 = 0.0, 1
-        while j0 <= m:
-            j1 = min(m, j0 + oracle._CHUNK - 1)
-            j = np.arange(j0, j1 + 1, dtype=np.float64)
-            first_overflows = j0 == 1 and math.isinf(c / x)
-            flag = "ignore" if first_overflows else None
-            with np.errstate(over=flag, divide=flag):
-                if math.isinf(j1 * c) or math.isinf(x + (j1 - 1.0) * c):
-                    terms = np.log(j / (u + (j - 1.0)))
-                else:
-                    terms = np.log(j * c / (x + (j - 1.0) * c))
-            if first_overflows:
-                terms[0] = math.log(c) - math.log(x)
-            total += float(terms.sum())
-            j0 = j1 + 1
-        return total + (u - 1.0) * (math.log(m) + math.log(p.r))
-
-    value, half = math.exp(log_value(n)), math.exp(log_value(n // 2))
-    return value, abs(value - half), n + n // 2, True
-
-
-def _two_pass_product(p, x, n):
-    """The product target as two chunked passes, one per truncation
-    length, each chunk's terms built from fresh arrays."""
-    import numpy as np
-
-    def tail(m):
-        total, j0 = 0.0, 1
-        while j0 <= m:
-            j1 = min(m, j0 + oracle._CHUNK - 1)
-            w = x / (np.arange(j0, j1 + 1, dtype=np.float64) * p.c)
-            total += float((np.log1p(w) - w).sum())
-            j0 = j1 + 1
-        return total
-
-    u = x / p.c
-    log_pref = (u - 1.0) * math.log(p.nu) - u * math.log(p.k)
-    x_nu = x / p.nu
-    log_x_nu = math.log(x_nu) if x_nu >= sys.float_info.min else math.log(x) - math.log(p.nu)
-    log_pref += log_x_nu + EULER_GAMMA * u
-    value = math.exp(log_pref + tail(n))
-    half = math.exp(log_pref + tail(max(1, n // 2)))
-    return value, abs(value - half), n + n // 2, True
-
-
-@pytest.mark.parametrize("n", [2, 3, 8, 15, 16, 17, 33])
-@pytest.mark.parametrize("p,x", [(Params(1, 1), 1.5), (Params(2, 3), 0.7), (Params(0.5, 2), 4.5)])
-def test_one_pass_sums_match_two_passes(monkeypatch, p, x, n):
-    # with 8-term chunks, n // 2 falls before, on and after a chunk end
-    monkeypatch.setattr(oracle, "_CHUNK", 8)
-    assert oracle._gamma_limit(p, x, n) == _two_pass_limit(p, x, n)
-    assert oracle._recip_product(p, x, n) == _two_pass_product(p, x, n)
-
-
-def _bits(fn, *args):
-    """The hex digits of each float ``fn`` returns, or the error it raises."""
-    try:
-        return [v.hex() if isinstance(v, float) else v for v in fn(*args)]
-    except ArithmeticError as exc:
-        return type(exc).__name__
+        assert res.effort == (32 + 40 + 2) + (32 + 30 + 2)
+        res = oracle_eval("recip-product", Params(1, 1), [1.5, 40])
+        assert res.effort == (32 + 10 + 2) + 20
 
 
 def _series_draws():
@@ -286,19 +217,49 @@ def _series_draws():
     yield Params(1e-100, 1e200), 1e-300, 3000  # x / nu underflows to 0
 
 
-@pytest.mark.parametrize("chunk,block", [(1 << 20, 1 << 15), (256, 100), (1000, 1000)])
-def test_in_place_series_terms_keep_their_bits(monkeypatch, chunk, block):
-    # small chunks and blocks put block ends inside a chunk and chunk ends
-    # inside the half-length sum
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    monkeypatch.setattr(oracle, "_BLOCK", block)
-    with warnings.catch_warnings():
-        # the product's j c overflows to inf where c is near DBL_MAX, and
-        # numpy warns; its terms are then 0, on both sides
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for p, x, n in _series_draws():
-            assert _bits(oracle._gamma_limit, p, x, n) == _bits(_two_pass_limit, p, x, n), (p, x, n)
-            assert _bits(oracle._recip_product, p, x, n) == _bits(_two_pass_product, p, x, n), (p, x, n)
+def _log_series_reference(target, p, x, n):
+    """The log of the target's value truncated at n terms, in closed
+    form at 60 digits, at the exact u = x/c and ln r = ln(k/nu):
+    ln Gamma(n+1) - ln Gamma(u+n) + ln Gamma(u) + (u-1)(ln n + ln r) for
+    the limit, and ln Gamma(n+1+u) - ln Gamma(u+1) - ln Gamma(n+1) - u H_n
+    plus the prefactor (1-u) ln r + ln u + gamma u for the product."""
+    import mpmath
+
+    lg = mpmath.loggamma
+    with mpmath.workdps(60):
+        u = mpmath.mpf(x) / p.c
+        log_r = mpmath.log(mpmath.mpf(p.k) / p.nu)
+        if target == "gamma-limit":
+            return float(lg(n + 1) - lg(u + n) + lg(u) + (u - 1) * (mpmath.log(n) + log_r))
+        tail = lg(n + 1 + u) - lg(u + 1) - lg(n + 1) - u * mpmath.harmonic(n)
+        return float(tail + (1 - u) * log_r + mpmath.log(u) + mpmath.euler * u)
+
+
+# In units of 2^-53 max(1, |ln value|) over _series_draws, the
+# Euler-Maclaurin sums read 18 (limit) and 710 (product); a direct sum
+# of every term reads 370 and 1337, and meets the bounds too.  The
+# product's error is the rounding of ln r, times u, in its prefactor.
+SERIES_BOUND = {"gamma-limit": 512, "recip-product": 2048}
+
+
+@pytest.mark.parametrize("target", sorted(SERIES_BOUND))
+def test_series_targets_match_closed_forms(target):
+    log_max, log_min = math.log(sys.float_info.max), math.log(sys.float_info.min)
+    for p, x, n in _series_draws():
+        for m in (n, n // 2):
+            if m < (2 if target == "gamma-limit" else 1):
+                continue
+            want = _log_series_reference(target, p, x, m)
+            try:
+                value = oracle_eval(target, p, [x, m]).value
+            except Overflow:
+                assert want > log_max, (p, x, m, want)
+                continue
+            if value < sys.float_info.min:  # below the normal doubles, or 0
+                assert want < log_min + 1.0, (p, x, m, want, value)
+                continue
+            units = abs(math.log(value) - want) / (2**-53 * max(1.0, abs(want)))
+            assert units <= SERIES_BOUND[target], (p, x, m, units)
 
 
 def test_oracle_imports_no_fast_path():
