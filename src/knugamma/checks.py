@@ -882,8 +882,7 @@ def check_oracle_recip_product(p, u):
     x = u * p.c
     res = oracle_eval("recip-product", p, [x, 100_000])
     want = math.exp(-log_gamma_knu(p, x))
-    allowed = max(3.0 * res.err_estimate, 1e-8 * abs(want))
-    return abs(res.value - want) / allowed
+    return abs(res.value - want) / (3.0 * res.err_estimate)
 
 
 @_register("oracle", "oracle-gamma-limit-rate", 1.0)

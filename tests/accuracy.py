@@ -30,12 +30,8 @@ alone into up to 1e6 ulp, and the reduced arguments x/c and y/c of
 ``log_gamma_knu`` and ``log_beta_knu``, taken as the function rounds
 them too (with r = k/nu as ``Params`` rounds it), so their score is
 what the term loses past its reduced argument: for ``log_beta_knu``
-where x >> y, the rounding of x + y and the cancellation of its terms.  References are taken at 50 digits, the zetas' at 200
-plus the decades of q^s (``_zeta_dps``): mpmath's Hurwitz zeta loses
-about as many digits as q^-s has leading zeros.  At 40 digits
-``hurwitz_zeta(15.502375051604048, 518.8296337479167)`` = 2.95e-41
-reads wrong in the tenth digit, and at 200 digits (65.13, 3215.04),
-whose value is 1.88e-227, reads 2e-12 off.
+where x >> y, the rounding of x + y and the cancellation of its terms.
+The references, and the digits each takes, are ``reference.py``'s.
 """
 
 import argparse
@@ -46,7 +42,7 @@ import random
 import statistics
 import sys
 
-import mpmath
+import reference as ref
 
 # PYTHONPATH, if set, comes first, so another checkout can be scored
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
@@ -55,8 +51,6 @@ from knugamma import (  # noqa: E402
     Params, ScalarDomainError, hurwitz_knu, log_beta_knu, log_gamma_knu, polygamma_knu, scalar, zeta_knu,
 )
 
-DPS = 50
-ZETA_DPS = 200
 BANDS = (3, 8, 15)  # x/c log-uniform over 1e±band
 GAMMA_BANDS = (3, 8)  # x/c (and, as the group, y/c) for the ln Gamma and ln B terms
 NO_BAND = (None,)
@@ -78,28 +72,8 @@ def _draw_polygamma_knu(rng, band, m):
     return p, m, _loguniform(rng, band) * p.c
 
 
-def _ref_polygamma_knu(p, m, x):
-    c = mpmath.mpf(p.c)
-    return mpmath.polygamma(m, mpmath.mpf(x) / c) / c ** (m + 1)
-
-
 def _draw_polygamma(rng, band, m):
     return m, _loguniform(rng, band)
-
-
-def _ref_polygamma(m, x):
-    return mpmath.polygamma(m, mpmath.mpf(x))
-
-
-def _zeta_dps(s, q, log10_lead):
-    """Digits for mpmath's zeta(s, q), whose Euler-Maclaurin sum stops
-    at an absolute 2^-prec: ZETA_DPS beyond the decades of q^s.  Not
-    where the leading term of the scored value is below 1e-340: the
-    value is at most 1e21 times it over these draws, so below the
-    normal doubles, and ZETA_DPS shows that.  ``q`` may be an mpf
-    below the doubles."""
-    decades = math.ceil(s * float(mpmath.log10(q)))
-    return ZETA_DPS + decades if decades > 0 and log10_lead >= -340.0 else ZETA_DPS
 
 
 def _excess(rng, group):
@@ -111,18 +85,8 @@ def _draw_riemann_zeta(rng, band, group):
     return (1.0 + _excess(rng, group),)
 
 
-def _ref_riemann_zeta(s):
-    with mpmath.workdps(ZETA_DPS):
-        return +mpmath.zeta(mpmath.mpf(s))
-
-
 def _draw_hurwitz_zeta(rng, band, group):
     return 1.0 + _excess(rng, group), _loguniform(rng, band)
-
-
-def _ref_hurwitz_zeta(s, q):
-    with mpmath.workdps(_zeta_dps(s, q, -s * math.log10(q))):
-        return +mpmath.zeta(mpmath.mpf(s), mpmath.mpf(q))
 
 
 def _draw_zeta_knu(rng, band, group):
@@ -130,22 +94,9 @@ def _draw_zeta_knu(rng, band, group):
     return p, (1.0 + _excess(rng, group)) * p.c
 
 
-def _ref_zeta_knu(p, x):
-    with mpmath.workdps(ZETA_DPS):
-        s = mpmath.mpf(x / p.c)
-        return mpmath.mpf(p.c) ** -s * mpmath.zeta(s)
-
-
 def _draw_hurwitz_knu(rng, band, group):
     p = _params(rng)
     return p, _loguniform(rng, band) * p.c, (1.0 + _excess(rng, group)) * p.c
-
-
-def _ref_hurwitz_knu(p, x, s):
-    with mpmath.workdps(_zeta_dps(s / p.c, x / p.c, -s / p.c * math.log10(x))):
-        c = mpmath.mpf(p.c)
-        sc = mpmath.mpf(s / p.c)
-        return c ** -sc * mpmath.zeta(sc, mpmath.mpf(x) / c)
 
 
 def _draw_log_gamma_knu(rng, band, group):
@@ -153,38 +104,29 @@ def _draw_log_gamma_knu(rng, band, group):
     return p, _loguniform(rng, band) * p.c
 
 
-def _ref_log_gamma_knu(p, x):
-    u = mpmath.mpf(x / p.c)
-    return (u - 1) * mpmath.log(p.r) + mpmath.loggamma(u)
-
-
 def _draw_log_beta_knu(rng, band, group):
     p = _params(rng)
     return p, _loguniform(rng, band) * p.c, _loguniform(rng, group) * p.c
 
 
-def _ref_log_beta_knu(p, x, y):
-    # the (. - 1) ln r terms of the three ln Gamma_{k,nu} sum to -ln r
-    u, v = mpmath.mpf(x / p.c), mpmath.mpf(y / p.c)
-    return -mpmath.log(p.r) + mpmath.loggamma(u) + mpmath.loggamma(v) - mpmath.loggamma(u + v)
-
-
 # name -> (function, groups, bands, draw(rng, band, group) -> args, reference(*args))
 FUNCTIONS = {
-    "polygamma_knu": (polygamma_knu, ORDERS, BANDS, _draw_polygamma_knu, _ref_polygamma_knu),
-    "polygamma": (scalar.polygamma, ORDERS, BANDS, _draw_polygamma, _ref_polygamma),
-    "riemann_zeta": (scalar.riemann_zeta, ZETA_EXCESS, NO_BAND, _draw_riemann_zeta, _ref_riemann_zeta),
-    "hurwitz_zeta": (scalar.hurwitz_zeta, ZETA_EXCESS, BANDS, _draw_hurwitz_zeta, _ref_hurwitz_zeta),
-    "zeta_knu": (zeta_knu, ZETA_EXCESS, NO_BAND, _draw_zeta_knu, _ref_zeta_knu),
-    "hurwitz_knu": (hurwitz_knu, ZETA_EXCESS, BANDS, _draw_hurwitz_knu, _ref_hurwitz_knu),
-    "log_gamma_knu": (log_gamma_knu, (None,), GAMMA_BANDS, _draw_log_gamma_knu, _ref_log_gamma_knu),
-    "log_beta_knu": (log_beta_knu, GAMMA_BANDS, GAMMA_BANDS, _draw_log_beta_knu, _ref_log_beta_knu),
+    "polygamma_knu": (polygamma_knu, ORDERS, BANDS, _draw_polygamma_knu,
+                      lambda p, m, x: ref.polygamma_knu(m, ref.exact(x, p.c), ref.mpf(p.c))),
+    "polygamma": (scalar.polygamma, ORDERS, BANDS, _draw_polygamma, lambda m, x: ref.polygamma(m, ref.mpf(x))),
+    "riemann_zeta": (scalar.riemann_zeta, ZETA_EXCESS, NO_BAND, _draw_riemann_zeta,
+                     lambda s: ref.riemann_zeta(ref.mpf(s))),
+    "hurwitz_zeta": (scalar.hurwitz_zeta, ZETA_EXCESS, BANDS, _draw_hurwitz_zeta,
+                     lambda s, q: ref.hurwitz_zeta(ref.mpf(s), ref.mpf(q))),
+    "zeta_knu": (zeta_knu, ZETA_EXCESS, NO_BAND, _draw_zeta_knu,
+                 lambda p, x: ref.zeta_knu(ref.rounded(x, p.c), ref.mpf(p.c))),
+    "hurwitz_knu": (hurwitz_knu, ZETA_EXCESS, BANDS, _draw_hurwitz_knu,
+                    lambda p, x, s: ref.hurwitz_knu(ref.rounded(s, p.c), ref.exact(x, p.c), ref.mpf(p.c))),
+    "log_gamma_knu": (log_gamma_knu, (None,), GAMMA_BANDS, _draw_log_gamma_knu,
+                      lambda p, x: ref.log_gamma_knu(ref.rounded(x, p.c), ref.mpf(p.r))),
+    "log_beta_knu": (log_beta_knu, GAMMA_BANDS, GAMMA_BANDS, _draw_log_beta_knu,
+                     lambda p, x, y: ref.log_beta_knu(ref.rounded(x, p.c), ref.rounded(y, p.c), ref.mpf(p.r))),
 }
-
-
-def ulps(got, want):
-    """|got - want| in units of the last place of ``want``, a normal double."""
-    return float(abs(mpmath.mpf(got) - want)) / math.ulp(float(want))
 
 
 def score(name, draws, seed=0):
@@ -197,31 +139,30 @@ def score(name, draws, seed=0):
     fn, groups, bands, draw, reference = FUNCTIONS[name]
     rng = random.Random(f"{name}:{seed}")
     out = {}
-    with mpmath.workdps(DPS):
-        for group in groups:
-            for band in bands:
-                t = out[group, band] = {"scored": 0, "max_ulp": 0.0, "worst": None,
-                                        "errors": 0, "out_of_range": 0}
-                errs = []
-                for _ in range(draws):
-                    args = draw(rng, band, group)
-                    want = reference(*args)
-                    if not (sys.float_info.min <= abs(want) <= sys.float_info.max):
-                        t["out_of_range"] += 1
-                        continue
-                    try:
-                        got = fn(*args)
-                    except ScalarDomainError:
-                        t["errors"] += 1
-                        continue
-                    err = ulps(got, want)
-                    errs.append(err)
-                    if not (err <= t["max_ulp"]):  # nan is a worst error too
-                        t["max_ulp"], t["worst"] = err, args
-                t["scored"] = len(errs)
-                errs.sort()
-                t["median_ulp"] = statistics.median(errs) if errs else 0.0
-                t["p99_ulp"] = errs[math.ceil(0.99 * len(errs)) - 1] if errs else 0.0
+    for group in groups:
+        for band in bands:
+            t = out[group, band] = {"scored": 0, "max_ulp": 0.0, "worst": None,
+                                    "errors": 0, "out_of_range": 0}
+            errs = []
+            for _ in range(draws):
+                args = draw(rng, band, group)
+                want = reference(*args)
+                if not (sys.float_info.min <= abs(want) <= sys.float_info.max):
+                    t["out_of_range"] += 1
+                    continue
+                try:
+                    got = fn(*args)
+                except ScalarDomainError:
+                    t["errors"] += 1
+                    continue
+                err = ref.ulps(got, want)
+                errs.append(err)
+                if not (err <= t["max_ulp"]):  # nan is a worst error too
+                    t["max_ulp"], t["worst"] = err, args
+            t["scored"] = len(errs)
+            errs.sort()
+            t["median_ulp"] = statistics.median(errs) if errs else 0.0
+            t["p99_ulp"] = errs[math.ceil(0.99 * len(errs)) - 1] if errs else 0.0
     return out
 
 

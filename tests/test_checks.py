@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+import reference as ref
 from knugamma import Params, beta_knu, checks
 from knugamma.errors import Overflow, PoleHit
+from knugamma.oracle import OracleResult
 
 # (name, points, skipped, tol) on the default grid, then (points,
 # skipped) on knu_values=(1, 2) with tol=1e-3: what each check samples
@@ -118,6 +120,19 @@ def test_a_raising_check_fails_with_its_points_so_far(monkeypatch, error):
     r = checks.check_pochhammer_gamma(g)
     assert (r.passed, r.max_dev, r.points) == (False, math.inf, 2)
     assert r.note == f"raised {type(error).__name__}"
+
+
+def test_recip_product_check_fails_on_a_zero_estimate(monkeypatch):
+    # the deviation is normalised by 3 err_estimate alone: no floor
+    # stands in for an estimate of 0, so the check fails
+    def zero_estimate(target, p, args, _eval=checks.oracle_eval):
+        res = _eval(target, p, args)
+        return OracleResult(res.value, 0.0, res.effort, res.converged)
+
+    real = checks.check_oracle_recip_product(DEFAULT_GRID)
+    monkeypatch.setattr(checks, "oracle_eval", zero_estimate)
+    r = checks.check_oracle_recip_product(DEFAULT_GRID)
+    assert (real.passed, r.passed, r.note) == (True, False, "raised ZeroDivisionError")
 
 
 def _pg_uncached(p, order, x):
@@ -259,19 +274,8 @@ def test_log_truncated_products_match_direct_cells(c):
 
 
 def _log_product_reference(c, x, y, n):
-    """ln prod_{j<=n} of the factor in closed form,
-    G(n+1+u+v) G(1+u) G(1+v) G(n+1) / (G(1+u+v) G(n+1+u) G(n+1+v)),
-    u = x/c, v = y/c, rounded once.  Where u is huge the log-Gamma terms
-    cancel over ~200 digits, so the reference takes 450."""
-    import mpmath
-
-    lg = mpmath.loggamma
-    with mpmath.workdps(60 if c >= 1e-3 else 450):
-        u, v = mpmath.mpf(x) / c, mpmath.mpf(y) / c
-        return float(
-            lg(n + 1 + u + v) + lg(1 + u) + lg(1 + v) + lg(n + 1)
-            - lg(1 + u + v) - lg(n + 1 + u) - lg(n + 1 + v)
-        )
+    """The closed form at the exact u = x/c and v = y/c, rounded once."""
+    return float(ref.log_truncated_product(ref.exact(x, c), ref.exact(y, c), n, ref.mpf(c)))
 
 
 # --grid 0.7,1.3,4, beside the default grid

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import reference as ref
 from knugamma import (
     DivergentSeries,
     Overflow,
@@ -217,24 +218,6 @@ def _series_draws():
     yield Params(1e-100, 1e200), 1e-300, 3000  # x / nu underflows to 0
 
 
-def _log_series_reference(target, p, x, n):
-    """The log of the target's value truncated at n terms, in closed
-    form at 60 digits, at the exact u = x/c and ln r = ln(k/nu):
-    ln Gamma(n+1) - ln Gamma(u+n) + ln Gamma(u) + (u-1)(ln n + ln r) for
-    the limit, and ln Gamma(n+1+u) - ln Gamma(u+1) - ln Gamma(n+1) - u H_n
-    plus the prefactor (1-u) ln r + ln u + gamma u for the product."""
-    import mpmath
-
-    lg = mpmath.loggamma
-    with mpmath.workdps(60):
-        u = mpmath.mpf(x) / p.c
-        log_r = mpmath.log(mpmath.mpf(p.k) / p.nu)
-        if target == "gamma-limit":
-            return float(lg(n + 1) - lg(u + n) + lg(u) + (u - 1) * (mpmath.log(n) + log_r))
-        tail = lg(n + 1 + u) - lg(u + 1) - lg(n + 1) - u * mpmath.harmonic(n)
-        return float(tail + (1 - u) * log_r + mpmath.log(u) + mpmath.euler * u)
-
-
 # In units of 2^-53 max(1, |ln value|) over _series_draws, the
 # Euler-Maclaurin sums read 18 (limit) and 710 (product); a direct sum
 # of every term reads 370 and 1337, and meets the bounds too.  The
@@ -244,12 +227,14 @@ SERIES_BOUND = {"gamma-limit": 512, "recip-product": 2048}
 
 @pytest.mark.parametrize("target", sorted(SERIES_BOUND))
 def test_series_targets_match_closed_forms(target):
+    # the closed form at the exact u = x/c and r = k/nu
+    log_value = ref.log_gamma_limit if target == "gamma-limit" else ref.log_recip_product
     log_max, log_min = math.log(sys.float_info.max), math.log(sys.float_info.min)
     for p, x, n in _series_draws():
         for m in (n, n // 2):
             if m < (2 if target == "gamma-limit" else 1):
                 continue
-            want = _log_series_reference(target, p, x, m)
+            want = float(log_value(ref.exact(x, p.c), ref.exact(p.k, p.nu), m))
             try:
                 value = oracle_eval(target, p, [x, m]).value
             except Overflow:

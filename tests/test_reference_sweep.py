@@ -1,21 +1,17 @@
-"""Randomized cross-validation against 40-digit references.
+"""Randomized cross-validation against mpmath references.
 
-Seeded sweeps over (k, nu, x) compare every fast path with an mpmath
-evaluation of its closed-form reduction; the contracts under test are
-the module accuracy guarantees (1e-12 relative for Gamma, 1e-11 for
-Psi/zeta), with plenty of margin expected.  Each reference sets its own
-precision with ``mp.workdps``, so none leaks into other test modules;
-the Hurwitz ones take the digits of ``accuracy._zeta_dps``, since
-mpmath's Hurwitz zeta loses about as many as q^-s has leading zeros.
+Seeded sweeps over (k, nu, x) compare every fast path with the
+``reference`` module's evaluation of its closed-form reduction, at the
+exact quotients x/c and k/nu (the zeta exponents s/c as the function
+rounds them); the contracts under test are the module accuracy
+guarantees (1e-12 relative for Gamma, 1e-11 for Psi/zeta), with plenty
+of margin expected.
 """
 
-import math
-
-import mpmath as mp
 import numpy as np
 import pytest
 
-from accuracy import _zeta_dps
+import reference as ref
 from knugamma import (
     Params,
     beta_knu,
@@ -26,8 +22,6 @@ from knugamma import (
     psi_knu,
     zeta_knu,
 )
-
-DPS = 40
 
 N_SAMPLES = 150
 
@@ -48,10 +42,9 @@ def test_log_gamma_sweep(samples):
     worst = 0.0
     for p, u in samples:
         x = u * p.c
-        with mp.workdps(DPS):
-            ref = float((u - 1) * mp.log(mp.mpf(p.k) / p.nu) + mp.loggamma(mp.mpf(x) / p.c))
+        want = float(ref.log_gamma_knu(ref.exact(x, p.c), ref.exact(p.k, p.nu)))
         got = log_gamma_knu(p, x)
-        worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     assert worst < 1e-13
 
 
@@ -59,13 +52,9 @@ def test_beta_sweep(samples):
     worst = 0.0
     for (p, u), (_, u2) in zip(samples[::2], samples[1::2]):
         x, y = u * p.c, u2 * p.c
-        with mp.workdps(DPS):
-            ref = float(
-                mp.log(mp.mpf(p.nu) / p.k)
-                + mp.log(mp.beta(mp.mpf(x) / p.c, mp.mpf(y) / p.c))
-            )
+        want = float(ref.log_beta_knu(ref.exact(x, p.c), ref.exact(y, p.c), ref.exact(p.k, p.nu)))
         got = log_beta_knu(p, x, y)
-        worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     assert worst < 1e-12
 
 
@@ -73,10 +62,9 @@ def test_psi_sweep(samples):
     worst = 0.0
     for p, u in samples:
         x = u * p.c
-        with mp.workdps(DPS):
-            ref = float((mp.log(mp.mpf(p.k) / p.nu) + mp.digamma(mp.mpf(x) / p.c)) / p.c)
+        want = float(ref.psi_knu(ref.exact(x, p.c), ref.exact(p.k, p.nu), ref.mpf(p.c)))
         got = psi_knu(p, x)
-        worst = max(worst, abs(got - ref) / max(1.0 / p.c, abs(ref)))
+        worst = max(worst, abs(got - want) / max(1.0 / p.c, abs(want)))
     assert worst < 1e-12
 
 
@@ -85,10 +73,9 @@ def test_polygamma_sweep(samples):
     for i, (p, u) in enumerate(samples):
         m = 1 + i % 4
         x = u * p.c
-        with mp.workdps(DPS):
-            ref = float(mp.polygamma(m, mp.mpf(x) / p.c) / mp.mpf(p.c) ** (m + 1))
+        want = float(ref.polygamma_knu(m, ref.exact(x, p.c), ref.mpf(p.c)))
         got = polygamma_knu(p, m, x)
-        worst = max(worst, abs(got - ref) / abs(ref))
+        worst = max(worst, abs(got - want) / abs(want))
     assert worst < 1e-11
 
 
@@ -96,10 +83,9 @@ def test_zeta_sweep(samples):
     worst = 0.0
     for p, u in samples:
         s = (1.0 + u) * p.c  # keep the reduced exponent above 1
-        with mp.workdps(DPS):
-            ref = float(mp.mpf(p.c) ** (-(s / p.c)) * mp.zeta(mp.mpf(s) / p.c))
+        want = float(ref.zeta_knu(ref.rounded(s, p.c), ref.mpf(p.c)))
         got = zeta_knu(p, s)
-        worst = max(worst, abs(got - ref) / abs(ref))
+        worst = max(worst, abs(got - want) / abs(want))
     assert worst < 1e-11
 
 
@@ -108,11 +94,9 @@ def test_hurwitz_sweep(samples):
     for (p, u), (_, u2) in zip(samples[::2], samples[1::2]):
         x = u * p.c
         s = (1.0 + u2) * p.c
-        sc = s / p.c
-        with mp.workdps(_zeta_dps(sc, x / p.c, -sc * math.log10(x))):
-            ref = float(mp.mpf(p.c) ** (-sc) * mp.zeta(mp.mpf(sc), mp.mpf(x) / p.c))
+        want = float(ref.hurwitz_knu(ref.rounded(s, p.c), ref.exact(x, p.c), ref.mpf(p.c)))
         got = hurwitz_knu(p, x, s)
-        worst = max(worst, abs(got - ref) / abs(ref))
+        worst = max(worst, abs(got - want) / abs(want))
     assert worst < 1e-10
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from knugamma import (
     Params,
     beta_knu,
@@ -293,12 +294,8 @@ def test_ratio_bounds(p, x1, x2, y):
 )
 def test_psi_knu_where_x_over_c_underflows(p, x):
     """psi(u) = psi(1 + u) - 1/u carries the result where psi(x/c)
-    cannot be formed; it agrees with a 40-digit reference."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        c = mpmath.mpf(p.c)
-        want = (mpmath.log(mpmath.mpf(p.r)) + mpmath.digamma(mpmath.mpf(x) / c)) / c
+    cannot be formed; it agrees with its reference."""
+    want = ref.psi_knu(ref.exact(x, p.c), ref.mpf(p.r), ref.mpf(p.c))
     assert psi_knu(p, x) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
@@ -313,25 +310,16 @@ def test_psi_knu_where_x_over_c_underflows(p, x):
 )
 def test_ratio_bounds_beyond_the_quotients(p, x1, x2, y):
     """Where a quotient of the T1/T2 bounds is not a normal double, the
-    difference of the two logs keeps each bound at its 40-digit
-    reference; 1e-12 covers the cancellation of log terms near 1.4e3."""
-    import mpmath
+    difference of the two logs keeps each bound at its reference; 1e-12
+    covers the cancellation of log terms near 1.4e3."""
+    _assert_ratio_bounds_match(p, x1, x2, y, ("lower_T1", "upper_T1", "upper_T2", "lower_T31", "upper_T32"))
 
+
+def _assert_ratio_bounds_match(p, x1, x2, y, names):
     got = ratio_bounds(p, x1, x2, y)
-    with mpmath.workdps(40):
-        x1, x2, y, c = (mpmath.mpf(v) for v in (x1, x2, y, p.c))
-        ln = mpmath.log
-        b, a1, a2, s1, s2 = y / c, x1 / c, x2 / c, (x1 + y) / c, (x2 + y) / c
-        front, x_ratio = ln((x2 + y) / (x1 + y)), ln(x1 / x2)
-        logs = {
-            "lower_T1": front + (b + 1) * x_ratio,
-            "upper_T1": front + x_ratio + b * ln((x1 + y + c) / (x2 + y + c)),
-            "upper_T2": b * ln((x1 + y) / (x2 + y)),
-            "lower_T31": (a2 - 1) * ln(a2) + (1 - a1) * ln(a1) + (1 - s2) * ln(s2) + (s1 - 1) * ln(s1),
-            "upper_T32": a2 * ln(a2) - a1 * ln(a1) - s2 * ln(s2) + s1 * ln(s1),
-        }
-        want = {name: float(mpmath.exp(v)) for name, v in logs.items()}
-    assert {name: getattr(got, name) for name in want} == pytest.approx(want, rel=1e-12, abs=0.0)
+    want = ref.ratio_bounds(ref.exact(x1, p.c), ref.exact(x2, p.c), ref.exact(y, p.c))
+    want = {name: float(want[name]) for name in names}
+    assert {name: getattr(got, name) for name in names} == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -345,50 +333,22 @@ def test_ratio_bounds_beyond_the_quotients(p, x1, x2, y):
 )
 def test_gamma_knu_where_x_over_c_underflows(p, x):
     """ln Gamma(u) = ln Gamma(1 + u) - (ln x - ln c) carries the result
-    where x/c is below the normal doubles; it agrees with a 40-digit
-    reference."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        u = mpmath.mpf(x) / mpmath.mpf(p.c)
-        want = (u - 1) * mpmath.log(mpmath.mpf(p.r)) + mpmath.loggamma(u)
+    where x/c is below the normal doubles; it agrees with its reference."""
+    want = ref.log_gamma_knu(ref.exact(x, p.c), ref.mpf(p.r))
     assert gamma_knu(p, x).log_value == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
 def test_ratio_bounds_where_x1_over_c_underflows():
     """x1/c underflows to 0; ln Gamma(x1/c), ln(x1/c) and so every bound
-    and the actual ratio B(x2/c, y/c)/B(x1/c, y/c) stay at their 40-digit
+    and the actual ratio B(x2/c, y/c)/B(x1/c, y/c) stay at their
     references (1e-12 covers log terms near 1.2e3)."""
-    import mpmath
-
-    p, x1, x2, y = Params(1e100, 1e100), 1e-300, 1.0, 1.0
-    got = ratio_bounds(p, x1, x2, y)
-    with mpmath.workdps(40):
-        x1, x2, y, c = (mpmath.mpf(v) for v in (x1, x2, y, p.c))
-        a1, a2, b = x1 / c, x2 / c, y / c
-        want = {
-            "actual_ratio": float(mpmath.beta(a2, b) / mpmath.beta(a1, b)),
-            "lower_T1": float((x2 + y) / (x1 + y) * (x1 / x2) ** (b + 1)),
-            "upper_T2": float(((x1 + y) / (x2 + y)) ** b),
-        }
-    assert {name: getattr(got, name) for name in want} == pytest.approx(want, rel=1e-12, abs=0.0)
+    _assert_ratio_bounds_match(Params(1e100, 1e100), 1e-300, 1.0, 1.0, ("actual_ratio", "lower_T1", "upper_T2"))
 
 
 def test_ratio_bounds_where_x1_over_c_is_subnormal():
     """x1/c = 1e-322 keeps 7 bits; ln x1 - ln c keeps T31 and T32 at
-    their 40-digit references."""
-    import mpmath
-
-    p, x1, x2, y = Params(1e100, 1e100), 1e-122, 1.0, 1.0
-    got = ratio_bounds(p, x1, x2, y)
-    with mpmath.workdps(40):
-        x1, x2, y, c = (mpmath.mpf(v) for v in (x1, x2, y, p.c))
-        a1, a2, s1, s2 = x1 / c, x2 / c, (x1 + y) / c, (x2 + y) / c
-        ln = mpmath.log
-        t31 = (a2 - 1) * ln(a2) + (1 - a1) * ln(a1) + (1 - s2) * ln(s2) + (s1 - 1) * ln(s1)
-        t32 = a2 * ln(a2) - a1 * ln(a1) - s2 * ln(s2) + s1 * ln(s1)
-        want = (float(mpmath.exp(t31)), float(mpmath.exp(t32)))
-    assert (got.lower_T31, got.upper_T32) == pytest.approx(want, rel=1e-12, abs=0.0)
+    their references."""
+    _assert_ratio_bounds_match(Params(1e100, 1e100), 1e-122, 1.0, 1.0, ("lower_T31", "upper_T32"))
 
 
 @pytest.mark.parametrize(
@@ -401,14 +361,10 @@ def test_ratio_bounds_where_x1_over_c_is_subnormal():
     ],
 )
 def test_stirling_approx_matches_reference(p, x):
-    """The log-space terms agree with a 40-digit reference wherever x/c
-    is below the normal doubles or the terms overflow with opposite
-    signs; 1e-12 covers log terms near 7e2."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        u = mpmath.mpf(x) / mpmath.mpf(p.c)
-        want = mpmath.sqrt(2 * mpmath.pi) * mpmath.mpf(p.r) ** (u - 1) * u ** (u - 0.5) * mpmath.exp(-u)
+    """The log-space terms agree with the reference wherever x/c is
+    below the normal doubles or the terms overflow with opposite signs;
+    1e-12 covers log terms near 7e2."""
+    want = ref.stirling_approx(ref.exact(x, p.c), ref.mpf(p.r))
     assert stirling_approx(p, x) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
@@ -433,34 +389,10 @@ def test_stirling_approx_overflow(p, x):
 )
 def test_hurwitz_knu_beyond_the_product(p, x, s):
     """Where c^(-s/c) zeta(s/c, x/c) cannot be formed from two normal
-    doubles, the log-space sum still agrees with a reference.  Where the
-    second term of zeta(s/c, q) is below 1e-40 of the first, the
-    reference is the direct sum at 40 digits, stopped where the integral
-    bound of the rest, (q+n)^(1-s/c)/(s/c-1), is below 1e-45 of the
-    total.  Elsewhere it is mpmath's zeta at the digits of
-    ``accuracy._zeta_dps`` (up to 1100 here: mpmath's Hurwitz zeta loses
-    about as many as q^-s has leading zeros; at the first point it would
-    take 6221 for a sum that is 1 + 1.5^-20000 + ...)."""
-    import mpmath
-    from accuracy import _zeta_dps
-
-    q = mpmath.mpf(x) / mpmath.mpf(p.c)  # 1e-330 at the last point: not a double
-    with mpmath.workdps(40):
-        direct = (q / (q + 1)) ** (mpmath.mpf(s) / mpmath.mpf(p.c)) < mpmath.mpf("1e-40")
-    with mpmath.workdps(40 if direct else _zeta_dps(s / p.c, q, -(s / p.c) * math.log10(x))):
-        sc = mpmath.mpf(s) / mpmath.mpf(p.c)
-        if direct:
-            zeta, n = mpmath.mpf(0), 0
-            while True:
-                term = (q + n) ** -sc
-                zeta += term
-                if term * (q + n) / (sc - 1) < zeta * mpmath.mpf("1e-45"):
-                    break
-                n += 1
-        else:
-            zeta = mpmath.zeta(sc, q)
-        want = mpmath.power(mpmath.mpf(p.c), -sc) * zeta
-        assert hurwitz_knu(p, x, s) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+    doubles, the log-space sum still agrees with its reference (q = x/c
+    is 1e-330 at the last point: not a double)."""
+    want = ref.hurwitz_knu(ref.exact(s, p.c), ref.exact(x, p.c), ref.mpf(p.c))
+    assert hurwitz_knu(p, x, s) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 @CONTRACT
@@ -484,11 +416,8 @@ def test_chebyshev_beta_bound(p, x, y):
 )
 def test_chebyshev_beta_bound_beyond_the_product(p, x, y, direction):
     """Where k nu^3 or x y is not a normal double, the log-space bound
-    agrees with a 40-digit reference."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        want = mpmath.mpf(p.k) * mpmath.mpf(p.nu) ** 3 / (mpmath.mpf(x) * mpmath.mpf(y))
+    agrees with its reference."""
+    want = ref.chebyshev_beta_bound(ref.mpf(p.k), ref.mpf(p.nu), ref.mpf(x), ref.mpf(y))
     bound, got_direction = chebyshev_beta_bound(p, x, y)
     assert bound == pytest.approx(float(want), rel=1e-13, abs=0.0)
     assert got_direction == direction
@@ -511,19 +440,11 @@ def test_polygamma_knu(p, m, x):
         _finite_or_typed(polygamma_knu, p, m, x)
 
 
-def _polygamma_knu_reference(p, m, x):
-    import mpmath
-
-    with mpmath.workdps(40):
-        c = mpmath.mpf(p.c)
-        return mpmath.polygamma(m, mpmath.mpf(x) / c) / c ** (m + 1)
-
-
 def _assert_polygamma_knu_matches(p, m, x):
-    """A normal result agrees with the 40-digit reference to 1e-13, a
+    """A normal result agrees with the reference to 1e-13, a
     subnormal or zero one to 4 units of the smallest subnormal, and one
     beyond the double range raises Overflow."""
-    want = _polygamma_knu_reference(p, m, x)
+    want = ref.polygamma_knu(m, ref.exact(x, p.c), ref.mpf(p.c))
     if abs(want) > sys.float_info.max * (1 + 1e-12):
         with pytest.raises(Overflow):
             polygamma_knu(p, m, x)
@@ -551,9 +472,9 @@ def _assert_polygamma_knu_matches(p, m, x):
 )
 def test_polygamma_knu_beyond_the_power(p, m, x):
     """Where c^(m+1), psi^(m)(x/c) or their quotient is not a normal
-    double, a result in the double range still agrees with a 40-digit
+    double, a result in the double range still agrees with its
     reference."""
-    assert abs(_polygamma_knu_reference(p, m, x)) < sys.float_info.max
+    assert abs(ref.polygamma_knu(m, ref.exact(x, p.c), ref.mpf(p.c))) < sys.float_info.max
     _assert_polygamma_knu_matches(p, m, x)
 
 
@@ -573,10 +494,7 @@ def test_polygamma_knu_matches_reference(log_k, log_nu, m, log_x):
 @pytest.mark.parametrize("m,x", [(100, 2000.0), (150, 3000.0), (30, 1e11), (150, 5.0)])
 def test_polygamma_where_the_series_power_underflows(m, x):
     """z^-m in the engine's series is subnormal or 0, the result is not."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        want = mpmath.polygamma(m, x)
+    want = ref.polygamma(m, ref.mpf(x))
     assert scalar.polygamma(m, x) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
