@@ -84,6 +84,16 @@ class _LazyNames:
         return iter(self._names())
 
 
+def _floats(text: str, flag: str) -> Optional[Tuple[float, ...]]:
+    """The comma list ``text`` of flag ``--flag`` as floats, or None
+    after writing it to stderr as a bad value."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        sys.stderr.write(f"bad --{flag} value {text!r}\n")
+        return None
+
+
 def _flags(args: argparse.Namespace, names: Tuple[str, ...], who: str) -> Optional[list]:
     """The values of the ``knu eval`` flags ``names``, or None after
     writing the first one missing to stderr as a flag ``who`` requires."""
@@ -141,16 +151,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from . import checks
 
-    knu_values = checks.GRID_KNU
-    if args.grid:
-        try:
-            knu_values = tuple(float(v) for v in args.grid.split(","))
-        except ValueError:
-            sys.stderr.write(f"bad --grid value {args.grid!r}\n")
-            return 2
-        if not knu_values or any(v <= 0 for v in knu_values):
-            sys.stderr.write("--grid values must be positive\n")
-            return 2
+    knu_values = _floats(args.grid, "grid") if args.grid else checks.GRID_KNU
+    if knu_values is None:
+        return 2
+    if any(v <= 0 for v in knu_values):
+        sys.stderr.write("--grid values must be positive\n")
+        return 2
     results = checks.run_suite(args.suite, tol=args.tol, knu_values=knu_values)
     if args.format == "json":
         _emit_json([vars(r) for r in results])
@@ -239,14 +245,9 @@ def _cmd_signmap(args: argparse.Namespace) -> int:
     if "{y}" not in args.out_csv or "{y}" not in args.out_pgm:
         sys.stderr.write("--out-csv and --out-pgm must contain the placeholder {y}\n")
         return 2
-    if args.y:
-        try:
-            y_values = tuple(float(v) for v in args.y.split(","))
-        except ValueError:
-            sys.stderr.write(f"bad --y value {args.y!r}\n")
-            return 2
-    else:
-        y_values = PAPER_Y_VALUES
+    y_values = _floats(args.y, "y") if args.y else PAPER_Y_VALUES
+    if y_values is None:
+        return 2
     spec = paper_grid() if args.paper_grid or args.mode == "paper" else desk_grid()
     jobs = [(y, args.out_csv.replace("{y}", f"{y:g}"), args.out_pgm.replace("{y}", f"{y:g}"))
             for y in y_values]

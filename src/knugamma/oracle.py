@@ -12,6 +12,14 @@ transformed integrand is at least C^1 at the endpoint; infinite upper
 limits are mapped by t = a + v/(1-v).  Kronrod nodes are strictly
 interior, so singular endpoints are never evaluated.
 
+Each integrand family is written once and every integral target is
+built from it: the power-exponential (r t)^(e-1) e^(-lam t) is
+``_power_exp``, the Bose weight 1/(1 - e^(-ct)) is ``_over_bose``, and
+the Beta kernel t^(a-1) (1-t)^(b-1) is ``_unit_beta``.  A Beta-type
+integral is split at its midpoint (``_two_ended``), a half-line one at
+t = 1 (``_half_line``).  zeta_{k,nu}(x) is the Hurwitz integral at
+x = c.
+
 The limit and product targets sum up to 10^7 log terms with
 ``_em_sum``: 32 terms one by one, the rest by Euler-Maclaurin from
 closed-form derivatives, about 130 term values in all.  It is the
@@ -176,24 +184,53 @@ def _result(value, err, effort, converged) -> OracleResult:
 # integral targets
 
 
+def _power_exp(log_r: float, e: float, lam: float) -> Callable[[float], float]:
+    """t -> (r t)^(e-1) e^(-lam t), as exp((e-1)(ln r + ln t) - lam t):
+    0 where that underflows, ``Overflow`` where it exceeds the doubles."""
+
+    def f(t: float) -> float:
+        arg = (e - 1.0) * (log_r + math.log(t)) - lam * t
+        if arg > 709.0:
+            raise Overflow("integrand exceeds double range")
+        return math.exp(arg) if arg > -745.0 else 0.0
+
+    return f
+
+
+def _over_bose(c: float, num: Callable[[float], float]) -> Callable[[float], float]:
+    """t -> num(t) / (1 - e^(-c t)), 0 where the denominator underflows;
+    num(t) is taken first, so an ``Overflow`` of it raises there too."""
+
+    def f(t: float) -> float:
+        y = num(t)
+        den = -math.expm1(-c * t)
+        return y / den if den != 0.0 else 0.0
+
+    return f
+
+
+def _half_line(f: Callable[[float], float], alpha: float):
+    """Integral of f over [0, inf), f ~ t^(alpha-1) near 0: [0, 1] and [1, inf)."""
+    return _combine([_integrate_singular_0(f, 1.0, alpha), _integrate_to_inf(f, 1.0)])
+
+
+def _two_ended(f_left, f_right, half: float, a: float, b: float):
+    """Integral over [0, 2 half] split at its midpoint: ``f_left(t)``
+    ~ t^(a-1) near t = 0 and ``f_right(s)`` ~ s^(b-1) near s = 2 half - t = 0."""
+    return _combine([_integrate_singular_0(f_left, half, a), _integrate_singular_0(f_right, half, b)])
+
+
+def _unit_beta(ea: float, eb: float, a: float, b: float):
+    """int_0^1 t^ea (1-t)^eb dt, ea = a - 1 and eb = b - 1 as the caller rounds them."""
+    return _two_ended(lambda t: t**ea * (1.0 - t) ** eb, lambda s: s**eb * (1.0 - s) ** ea, 0.5, a, b)
+
+
 def _gamma_integral(p: Params, x: float):
     """Gamma_{k,nu}(x) = int_0^inf e^-t (r t)^(x/c - 1) dt."""
     if not (x > 0.0):
         raise PoleHit(f"gamma integral requires x > 0, got {x}")
     u = x / p.c
-    lr = math.log(p.r)
-
-    def f(t: float) -> float:
-        arg = (u - 1.0) * (lr + math.log(t)) - t
-        if arg > 709.0:
-            raise Overflow(f"gamma integrand exceeds double range at x={x}")
-        return math.exp(arg) if arg > -745.0 else 0.0
-
-    parts = [
-        _integrate_singular_0(f, 1.0, u),
-        _integrate_to_inf(f, 1.0),
-    ]
-    return _combine(parts)
+    return _half_line(_power_exp(p.log_r, u, 1.0), u)
 
 
 def _beta_unit_integral(p: Params, x: float, y: float):
@@ -201,18 +238,7 @@ def _beta_unit_integral(p: Params, x: float, y: float):
     if not (x > 0.0 and y > 0.0):
         raise PoleHit(f"beta integral requires x, y > 0, got ({x}, {y})")
     a, b = x / p.c, y / p.c
-
-    def f_left(t: float) -> float:
-        return t ** (a - 1.0) * (1.0 - t) ** (b - 1.0)
-
-    def f_right(s: float) -> float:  # s = 1 - t
-        return s ** (b - 1.0) * (1.0 - s) ** (a - 1.0)
-
-    parts = [
-        _integrate_singular_0(f_left, 0.5, a),
-        _integrate_singular_0(f_right, 0.5, b),
-    ]
-    value, err, evals, conv = _combine(parts)
+    value, err, evals, conv = _unit_beta(a - 1.0, b - 1.0, a, b)
     scale = 1.0 / p.r
     return value * scale, err * scale, evals, conv
 
@@ -232,11 +258,7 @@ def _beta_scaled_integral(p: Params, x: float, y: float):
         rs = p.r * s
         return (1.0 - rs) ** (a - 1.0) * rs ** (b - 1.0)
 
-    parts = [
-        _integrate_singular_0(f_left, 0.5 * top, a),
-        _integrate_singular_0(f_right, 0.5 * top, b),
-    ]
-    return _combine(parts)
+    return _two_ended(f_left, f_right, 0.5 * top, a, b)
 
 
 def _psi_integral(p: Params, x: float):
@@ -245,13 +267,7 @@ def _psi_integral(p: Params, x: float):
     if not (x > 0.0):
         raise PoleHit(f"psi integral requires x > 0, got {x}")
     c = p.c
-
-    def f(t: float) -> float:
-        den = -math.expm1(-c * t)
-        if den == 0.0:
-            return 0.0
-        return (math.expm1(-c * t) - math.expm1(-x * t)) / den
-
+    f = _over_bose(c, lambda t: math.expm1(-c * t) - math.expm1(-x * t))
     value, err, evals, conv = _integrate_to_inf(f, 0.0)
     const = (math.log(p.k) - math.log(p.nu) - EULER_GAMMA) / c
     return const + value, err, evals, conv
@@ -285,62 +301,30 @@ def _polygamma_integral(p: Params, m: int, x: float):
         raise DomainWindow(f"polygamma integral requires m >= 1, got {m}")
     if not (x > 0.0):
         raise PoleHit(f"polygamma integral requires x > 0, got {x}")
-    c = p.c
-
-    def f(t: float) -> float:
-        den = -math.expm1(-c * t)
-        if den == 0.0:
-            return 0.0
-        return t**m * math.exp(-x * t) / den
-
+    f = _over_bose(p.c, lambda t: t**m * math.exp(-x * t))
     value, err, evals, conv = _integrate_to_inf(f, 0.0)
     sign = 1.0 if m % 2 == 1 else -1.0
     return sign * value, err, evals, conv
 
 
-def _bose_integral(p: Params, exponent: float, decay: float):
-    """int_0^inf (r t)^(exponent-1) e^(-decay t)/(1 - e^(-c t)) dt with
-    the 1/(1-e^-ct) pole at 0 folded in; behaves like t^(exponent-2)."""
-    c = p.c
-    lr = math.log(p.r)
-
-    def f(t: float) -> float:
-        ct = c * t
-        arg = (exponent - 1.0) * (lr + math.log(t)) - decay * t
-        if arg > 709.0:
-            raise Overflow("zeta integrand exceeds double range")
-        if ct > 700.0:  # 1 - e^-ct == 1 to double precision
-            return math.exp(arg) if arg > -745.0 else 0.0
-        den = -math.expm1(-ct)
-        if den == 0.0:
-            return 0.0
-        return math.exp(arg) / den if arg > -745.0 else 0.0
-
-    parts = [
-        _integrate_singular_0(f, 1.0, exponent - 1.0),
-        _integrate_to_inf(f, 1.0),
-    ]
-    return _combine(parts)
-
-
 def _zeta_integral(p: Params, x: float):
-    """zeta_{k,nu}(x) = (1/Gamma_{k,nu}(x)) int_0^inf (r u)^(x/c-1)
-    / (e^(c u) - 1) du; the normalization is itself evaluated by the
-    oracle's gamma integral."""
+    """zeta_{k,nu}(x) = sum_{n>=1} (n c)^(-x/c): the Hurwitz integral at
+    x = c, s = x."""
     if not (x > p.c):
         raise DivergentSeries(f"zeta integral requires x > k*nu = {p.c}, got {x}")
-    # 1/(e^cu - 1) = e^-cu/(1 - e^-cu): reuse the Bose kernel with decay c.
-    return _quotient(_bose_integral(p, x / p.c, p.c), _gamma_integral(p, x))
+    return _hurwitz_integral(p, p.c, x)
 
 
 def _hurwitz_integral(p: Params, x: float, s: float):
     """zeta_{k,nu}(x, s) = (1/Gamma_{k,nu}(s)) int_0^inf (r u)^(s/c-1)
-    e^(-x u)/(1 - e^(-c u)) du."""
+    e^(-x u)/(1 - e^(-c u)) du, the normalization by the gamma integral."""
     if not (x > 0.0):
         raise PoleHit(f"hurwitz integral requires x > 0, got {x}")
     if not (s > p.c):
         raise DivergentSeries(f"hurwitz integral requires s > k*nu = {p.c}, got {s}")
-    return _quotient(_bose_integral(p, s / p.c, x), _gamma_integral(p, s))
+    e = s / p.c
+    num = _half_line(_over_bose(p.c, _power_exp(p.log_r, e, x)), e - 1.0)
+    return _quotient(num, _gamma_integral(p, s))
 
 
 def _sine_integral(_p: Optional[Params], x: float):
@@ -350,18 +334,7 @@ def _sine_integral(_p: Optional[Params], x: float):
         raise NonPositiveArgument(f"sine integral requires x > 0, got {x}")
     if x >= 1.0:
         raise DivergentSeries(f"sine integral diverges for x >= 1, got {x}")
-
-    def f_left(t: float) -> float:
-        return t ** (x - 1.0) * (1.0 - t) ** (-x)
-
-    def f_right(s: float) -> float:  # s = 1 - t
-        return s ** (-x) * (1.0 - s) ** (x - 1.0)
-
-    parts = [
-        _integrate_singular_0(f_left, 0.5, x),
-        _integrate_singular_0(f_right, 0.5, 1.0 - x),
-    ]
-    return _combine(parts)
+    return _unit_beta(x - 1.0, -x, x, 1.0 - x)
 
 
 # ----------------------------------------------------------------------
@@ -413,17 +386,22 @@ def _em_sum(head: Callable[[int], float], f: Callable[[float], float],
     integral of ``f`` over [_EM_HEAD+1, n], its two end values and the
     Bernoulli terms of f', f''', ..., f^(11): ``derivatives(s)`` gives
     those six, each as pieces that add to f^(m)(s)/(m-1)!.  All the
-    terms go to one ``math.fsum``, so their order does not matter."""
+    terms go to one ``math.fsum``, so their order does not matter; where
+    a partial sum leaves the doubles, to one of the terms times 2^-64,
+    times 2^64 (both scalings exact), which may read +-inf."""
     terms = [head(j) for j in range(1, min(n, _EM_HEAD) + 1)]
-    if n <= _EM_HEAD:
-        return math.fsum(terms), n
-    a_end, n_end = float(_EM_HEAD + 1), float(n)
-    terms += [w * f(s) for s, w in _tail_nodes(n)]
-    terms += (0.5 * f(a_end), 0.5 * f(n_end))
     evals = len(terms)
-    terms += [b * d for b, ds in zip(_EULER_MACLAURIN, derivatives(n_end)) for d in ds]
-    terms += [-b * d for b, ds in zip(_EULER_MACLAURIN, derivatives(a_end)) for d in ds]
-    return math.fsum(terms), evals
+    if n > _EM_HEAD:
+        a_end, n_end = float(_EM_HEAD + 1), float(n)
+        terms += [w * f(s) for s, w in _tail_nodes(n)]
+        terms += (0.5 * f(a_end), 0.5 * f(n_end))
+        evals = len(terms)
+        terms += [b * d for b, ds in zip(_EULER_MACLAURIN, derivatives(n_end)) for d in ds]
+        terms += [-b * d for b, ds in zip(_EULER_MACLAURIN, derivatives(a_end)) for d in ds]
+    try:
+        return math.fsum(terms), evals
+    except OverflowError:
+        return math.fsum([t * 2.0**-64 for t in terms]) * 2.0**64, evals
 
 
 def _reduced(p: Params, x: float, what: str) -> Tuple[float, float]:
@@ -440,10 +418,10 @@ def _truncated(head, f, derivatives, rest: Callable[[int], float], n: int, half:
     at m = n, that value's distance to the one at m = ``half`` as the
     error estimate, and the term values both sums took (``_em_sum``
     takes ``head``, ``f`` and ``derivatives``).  ``Overflow`` where
-    either value is beyond the double range; a log of -inf is a 0."""
+    either value is not below inf (-inf + inf is nan); a log of -inf is a 0."""
     (log_n, evals_n), (log_half, evals_half) = (_em_sum(head, f, derivatives, m) for m in (n, half))
     value, value_half = math.exp(log_n + rest(n)), math.exp(log_half + rest(half))
-    if math.isinf(value) or math.isinf(value_half):
+    if not (value < math.inf and value_half < math.inf):
         raise Overflow(f"truncated value exceeds double range at n={n}")
     return value, abs(value - value_half), evals_n + evals_half, True
 

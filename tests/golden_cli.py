@@ -98,6 +98,8 @@ EXIT_2 = [
 # oracle lines at edges of the double range that exit 0
 ORACLE_EDGES = [
     "eval --fn gamma --oracle --target recip-product --k 1e154 --nu 1e154 --x 1 --n 500",  # j c overflows to inf
+    # the log sum's partial sums leave the doubles; 1/Gamma(1e308) reads 0
+    "eval --fn gamma --oracle --target recip-product --k 1e-3 --nu 1e-3 --x 1e302 --n 100000",
 ]
 
 BOUNDS = [

@@ -167,6 +167,20 @@ class TestZetaTargets:
                 want = hurwitz_knu(p, ux * p.c, us * p.c)
                 assert res.value == pytest.approx(want, rel=1e-7)
 
+    # the oracle-zeta-integral check's points
+    @pytest.mark.parametrize("p", [Params(1, 1), Params(2, 3), Params(0.5, 2), Params(3, 0.5)])
+    @pytest.mark.parametrize("u", [1.3, 2.0, 3.0, 6.0, 11.0])
+    def test_zeta_is_hurwitz_at_x_equal_c(self, p, u):
+        x = u * p.c
+        assert oracle_eval("zeta-integral", p, [x]) == oracle_eval("hurwitz-integral", p, [p.c, x])
+
+    def test_zeta_and_hurwitz_at_x_equal_c_overflow_alike(self):
+        p = Params(1e-5, 1)
+        with pytest.raises(Overflow):
+            oracle_eval("zeta-integral", p, [1e-3])
+        with pytest.raises(Overflow):
+            oracle_eval("hurwitz-integral", p, [p.c, 1e-3])
+
     def test_domains(self):
         with pytest.raises(DivergentSeries):
             oracle_eval("zeta-integral", Params(1, 1), [0.8])
@@ -187,6 +201,19 @@ class TestSineIntegral:
     def test_domain(self):
         with pytest.raises(DivergentSeries):
             oracle_eval("sine-integral", None, [1.0])
+
+
+class TestSeriesRange:
+    def test_log_sum_beyond_the_doubles_reads_0(self):
+        # the head's partial sums, about -u H_j at u = 1e308, leave the
+        # doubles; the truncated value 1/Gamma(1e308) underflows to 0
+        res = oracle_eval("recip-product", Params(1e-3, 1e-3), [1e302, 100_000])
+        assert (res.value, res.err_estimate, res.converged) == (0.0, 0.0, True)
+
+    def test_log_of_minus_inf_plus_inf_is_overflow(self):
+        # the log sum reads -inf and the prefactor (1 - u) ln r reads +inf
+        with pytest.raises(Overflow):
+            oracle_eval("recip-product", Params(1e-3, 1.0), [1e305, 1000])
 
 
 class TestEffortAccounting:
